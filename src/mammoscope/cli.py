@@ -5,7 +5,7 @@ Subcommands cover the whole flow on batch data:
     mammoscope phantom  --out DIR [--config PATH]
     mammoscope extract  --manifest CSV --out CSV [--config PATH] [--jobs N]
     mammoscope train    --features CSV --out MODEL [--config PATH]
-    mammoscope predict  --features CSV --model MODEL --out CSV
+    mammoscope predict  --features CSV --model MODEL --out CSV [--threshold T]
     mammoscope evaluate --features CSV [--config PATH] [--roc-csv PATH] [--roc-svg PATH]
 
 Exit codes: 0 success, 1 partial data failure (some images failed to
@@ -156,6 +156,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if not 0.0 < args.threshold < 1.0:
+        raise MammoscopeError("--threshold must lie in (0, 1)")
     table = _load_table(args.features)
     try:
         model = bayes.load_model(Path(args.model).read_bytes())

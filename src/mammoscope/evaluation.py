@@ -129,13 +129,13 @@ def roc(scores, truth) -> RocCurve:
     return RocCurve(tuple(points), _trapezoid_area(points))
 
 
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the curve's points."""
-    return _trapezoid_area(curve.points)
-
-
 def kfold_indices(table: FeatureTable, k: int, seed: int) -> list[tuple[list[int], list[int]]]:
-    """Row-index version of :func:`kfold`, for callers that track rows."""
+    """Stratified k-fold (train, test) row indices, deterministic under the seed.
+
+    Rows of each class are shuffled once (normal first, then suspicious)
+    and dealt round-robin, so every fold's class count is within one row
+    of the global ratio and the test folds partition the table.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     rng = Rng(seed)
@@ -153,19 +153,6 @@ def kfold_indices(table: FeatureTable, k: int, seed: int) -> list[tuple[list[int
         train = sorted(row for g in range(k) if g != f for row in folds[g])
         splits.append((train, test))
     return splits
-
-
-def kfold(table: FeatureTable, k: int, seed: int) -> list[tuple[FeatureTable, FeatureTable]]:
-    """Stratified k-fold splits, deterministic under the seed.
-
-    Rows of each class are shuffled once (normal first, then suspicious)
-    and dealt round-robin, so every fold's class count is within one row
-    of the global ratio and the folds partition the table.
-    """
-    return [
-        (table.subset(train), table.subset(test))
-        for train, test in kfold_indices(table, k, seed)
-    ]
 
 
 def roc_to_csv(curve: RocCurve) -> str:

@@ -35,34 +35,45 @@ def _as_map(values) -> np.ndarray:
     return a
 
 
+def moments(values) -> tuple[float, float, float, float]:
+    """Population (mean, std, skewness, kurtosis) of a map in one pass.
+
+    The map is centred once and the squared deviations are reused for the
+    third and fourth moments. Skewness and kurtosis are 0 for degenerate
+    maps.
+    """
+    a = _as_map(values)
+    m = a.mean()
+    c = a - m
+    c2 = c * c
+    sigma = np.sqrt(c2.mean())
+    if sigma <= DEGENERATE_STD:
+        return float(m), float(sigma), 0.0, 0.0
+    return (
+        float(m),
+        float(sigma),
+        float((c2 * c).mean() / sigma**3),
+        float((c2 * c2).mean() / sigma**4),
+    )
+
+
 def mean(values) -> float:
-    return float(_as_map(values).mean())
+    return moments(values)[0]
 
 
 def stddev(values) -> float:
     """Population standard deviation: sqrt(mean((x - m)^2))."""
-    a = _as_map(values)
-    return float(np.sqrt(np.mean((a - a.mean()) ** 2)))
+    return moments(values)[1]
 
 
 def skewness(values) -> float:
     """Third central moment over sigma^3; 0 for degenerate maps."""
-    a = _as_map(values)
-    centered = a - a.mean()
-    sigma = np.sqrt(np.mean(centered**2))
-    if sigma <= DEGENERATE_STD:
-        return 0.0
-    return float(np.mean(centered**3) / sigma**3)
+    return moments(values)[2]
 
 
 def kurtosis(values) -> float:
     """Fourth central moment over sigma^4 (no -3 adjustment); 0 for degenerate maps."""
-    a = _as_map(values)
-    centered = a - a.mean()
-    sigma = np.sqrt(np.mean(centered**2))
-    if sigma <= DEGENERATE_STD:
-        return 0.0
-    return float(np.mean(centered**4) / sigma**4)
+    return moments(values)[3]
 
 
 def _resample_bilinear(src: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -102,7 +113,7 @@ def cross_correlation(a, b) -> float:
     return min(1.0, max(-1.0, r))
 
 
-_STATS = (("mean", mean), ("std", stddev), ("skew", skewness), ("kurt", kurtosis))
+_STATS = ("mean", "std", "skew", "kurt")
 
 FEATURE_MODES = ("default8", "extended")
 
@@ -151,17 +162,17 @@ def extract_features(img: GrayImage, cfg: FeatureConfig = FeatureConfig()) -> Fe
 
     names: list[str] = []
     values: list[float] = []
-    for prefix, grid in (("wll", decomp.approx), ("fft", spectral_map)):
-        for stat, fn in _STATS:
-            names.append(f"{prefix}_{stat}")
-            values.append(fn(grid))
 
+    def add_moments(prefix: str, grid: np.ndarray) -> None:
+        names.extend(f"{prefix}_{stat}" for stat in _STATS)
+        values.extend(moments(grid))
+
+    add_moments("wll", decomp.approx)
+    add_moments("fft", spectral_map)
     if cfg.mode == "extended":
         for level, bands in enumerate(decomp.details, start=1):
             for band in DETAIL_BANDS:
-                for stat, fn in _STATS:
-                    names.append(f"w{band.lower()}{level}_{stat}")
-                    values.append(fn(bands[band]))
+                add_moments(f"w{band.lower()}{level}", bands[band])
         final = {"LL": decomp.approx, **decomp.details[-1]}
         for band in ("LL", "HL", "LH", "HH"):
             names.append(f"xcorr_{band.lower()}")
@@ -260,7 +271,12 @@ def table_from_csv(text: str) -> FeatureTable:
         ids.append(row[0])
         labels.append(row[1])
         rows.append([float(v) for v in row[2:]])
-    return FeatureTable(names, tuple(ids), tuple(labels), np.array(rows))
+    values = np.array(rows)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"row {ids[r]!r} has a non-finite value for {names[c]!r}")
+    return FeatureTable(names, tuple(ids), tuple(labels), values)
 
 
 def select_features(table: FeatureTable, k: int) -> list[str]:

@@ -5,9 +5,10 @@ Convention: negative exponent, no normalization on the forward transform,
     F(k, l) = sum_i sum_j f(i, j) * exp(-i 2 pi (k i / N + l j / N)),
 
 so the DC entry F(0, 0) equals the plain pixel sum. ``fft2d`` evaluates
-this with a row-column radix-2 pass after zero-padding the input to the
-smallest enclosing power-of-two square; ``dft2d_direct`` evaluates the
-quartic-time sum literally and exists to cross-check the fast path.
+this with ``numpy.fft.fft2`` after zero-padding the input at the bottom
+and right to the smallest enclosing power-of-two square; ``dft2d_direct``
+evaluates the quartic-time sum literally and exists to cross-check the
+fast path.
 """
 
 from __future__ import annotations
@@ -53,45 +54,11 @@ def _next_pow2(n: int) -> int:
     return size
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_radix2(values: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 transform along the last axis (power-of-two length)."""
-    n = values.shape[-1]
-    out = np.asarray(values, dtype=np.complex128)[..., _bit_reversal(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        view = out.reshape(out.shape[:-1] + (n // size, size))
-        even = view[..., :half]
-        odd = view[..., half:] * twiddle
-        upper = even + odd
-        lower = even - odd
-        view[..., :half] = upper
-        view[..., half:] = lower
-        size *= 2
-    return out
-
-
 def fft2d(matrix) -> Spectrum:
     """Fast transform of any real matrix, zero-padded to a power-of-two square."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    h, w = m.shape
-    n = _next_pow2(max(h, w, 1))
-    padded = np.zeros((n, n))
-    padded[:h, :w] = m
-    rows = _fft_radix2(padded)  # j -> l along rows
-    values = _fft_radix2(rows.T).T  # i -> k along columns
-    return Spectrum(values)
+    n = _next_pow2(max(*m.shape, 1))
+    return Spectrum(np.fft.fft2(m, s=(n, n)))
 
 
 def log_magnitude(spectrum: Spectrum) -> np.ndarray:

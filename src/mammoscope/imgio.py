@@ -8,6 +8,7 @@ since real scanner exports contain them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,15 +99,15 @@ def read_pgm(data: bytes) -> RawImage:
 
     count = width * height
     if magic == b"P2":
-        samples = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            token, pos = _next_token(data, pos)
-            if not token:
-                raise TruncatedDataError(f"expected {count} samples, got {i}")
-            try:
-                samples[i] = int(token)
-            except ValueError:
-                raise TruncatedDataError(f"unreadable sample token {token!r}") from None
+        tokens = re.sub(rb"#[^\n]*", b"", data[pos:]).split()[:count]
+        try:
+            samples = np.array(list(map(int, tokens)), dtype=np.int64)
+        except ValueError as exc:
+            raise TruncatedDataError(f"unreadable sample token: {exc}") from None
+        except OverflowError:
+            raise SampleOutOfRangeError(f"sample outside 0..{maxval}") from None
+        if len(tokens) < count:
+            raise TruncatedDataError(f"expected {count} samples, got {len(tokens)}")
         if samples.min() < 0:
             raise TruncatedDataError("negative sample value")
     else:

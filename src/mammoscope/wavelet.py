@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -68,13 +67,6 @@ def get_filter(name: str) -> WaveletFilter:
 
 
 @dataclass(frozen=True)
-class Subband:
-    band: str  # LL, HL, LH or HH
-    level: int
-    data: np.ndarray
-
-
-@dataclass(frozen=True)
 class WaveletDecomposition:
     """Detail bands per level plus the final approximation band.
 
@@ -88,13 +80,6 @@ class WaveletDecomposition:
     approx: np.ndarray
     level_shapes: tuple[tuple[int, int], ...]
 
-    def subbands(self) -> Iterator[Subband]:
-        """All 3*levels + 1 subbands, details first, final LL last."""
-        for level, bands in enumerate(self.details, start=1):
-            for name in DETAIL_BANDS:
-                yield Subband(name, level, bands[name])
-        yield Subband("LL", self.levels, self.approx)
-
 
 def _analyze(values: np.ndarray, filt: WaveletFilter, axis: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.moveaxis(np.asarray(values, dtype=np.float64), axis, -1)
@@ -104,12 +89,12 @@ def _analyze(values: np.ndarray, filt: WaveletFilter, axis: int) -> tuple[np.nda
         raise OddLengthError(f"extent {n} is odd; pad to even first")
     if n < length:
         raise SignalTooShortError(f"extent {n} shorter than filter length {length}")
-    half = n // 2
-    starts = 2 * np.arange(half)
-    approx = np.zeros(x.shape[:-1] + (half,))
+    # periodic extension: ext[..., j:j+n:2] holds s[(2k + j) mod n] for every k
+    ext = np.concatenate([x, x[..., : length - 1]], axis=-1)
+    approx = np.zeros(x.shape[:-1] + (n // 2,))
     detail = np.zeros_like(approx)
     for j in range(length):
-        tap = x[..., (starts + j) % n]
+        tap = ext[..., j : j + n : 2]
         approx += filt.lowpass[j] * tap
         detail += filt.highpass[j] * tap
     return np.moveaxis(approx, -1, axis), np.moveaxis(detail, -1, axis)

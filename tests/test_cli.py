@@ -144,6 +144,50 @@ def _pipeline_to_features(workdir):
     return feats
 
 
+def _with_nonfinite(feats, tmp_path, token="nan"):
+    """Copy of the feature CSV with one value of its second row replaced."""
+    lines = feats.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = token
+    lines[2] = ",".join(cells)
+    bad = tmp_path / f"{token}.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad, cells[0]
+
+
+class TestNonFiniteFeatures:
+    def test_train_rejects_nan_and_writes_nothing(self, workdir, tmp_path, capsys):
+        _, cfg = workdir
+        bad, row_id = _with_nonfinite(_pipeline_to_features(workdir), tmp_path)
+        model = tmp_path / "m.txt"
+        assert run(["train", "--config", cfg, "--features", str(bad),
+                    "--out", str(model)]) == 2
+        assert not model.exists()
+        assert repr(row_id) in capsys.readouterr().err
+
+    def test_predict_rejects_inf_and_writes_nothing(self, workdir, tmp_path, capsys):
+        _, cfg = workdir
+        feats = _pipeline_to_features(workdir)
+        model = tmp_path / "m.txt"
+        assert run(["train", "--config", cfg, "--features", str(feats),
+                    "--out", str(model)]) == 0
+        bad, row_id = _with_nonfinite(feats, tmp_path, "-inf")
+        pred = tmp_path / "pred.csv"
+        assert run(["predict", "--features", str(bad), "--model", str(model),
+                    "--out", str(pred)]) == 2
+        assert not pred.exists()
+        assert repr(row_id) in capsys.readouterr().err
+
+    def test_evaluate_rejects_nan_and_writes_nothing(self, workdir, tmp_path, capsys):
+        _, cfg = workdir
+        bad, row_id = _with_nonfinite(_pipeline_to_features(workdir), tmp_path)
+        roc_csv = tmp_path / "roc.csv"
+        assert run(["evaluate", "--config", cfg, "--features", str(bad),
+                    "--roc-csv", str(roc_csv)]) == 2
+        assert not roc_csv.exists()
+        assert repr(row_id) in capsys.readouterr().err
+
+
 class TestTrainPredict:
     def test_train_then_predict(self, workdir):
         tmp_path, cfg = workdir
@@ -162,6 +206,18 @@ class TestTrainPredict:
             _, score, label = line.rsplit(",", 2)
             assert 0.0 < float(score) < 1.0
             assert label in ("normal", "suspicious")
+
+    @pytest.mark.parametrize("threshold", ["7", "1", "0", "-0.5", "nan"])
+    def test_predict_threshold_outside_unit_interval(self, workdir, capsys, threshold):
+        tmp_path, cfg = workdir
+        feats = _pipeline_to_features(workdir)
+        model = tmp_path / "model.txt"
+        run(["train", "--config", cfg, "--features", str(feats), "--out", str(model)])
+        pred = tmp_path / "pred.csv"
+        assert run(["predict", "--features", str(feats), "--model", str(model),
+                    "--threshold", threshold, "--out", str(pred)]) == 2
+        assert not pred.exists()
+        assert "must lie in (0, 1)" in capsys.readouterr().err
 
     def test_selection_recorded_in_model(self, workdir, tmp_path):
         _, cfg_path = workdir

@@ -20,9 +20,8 @@ from mammoscope.errors import (
 )
 from mammoscope.evaluation import (
     ConfusionMatrix,
-    auc,
     confusion,
-    kfold,
+    kfold_indices,
     roc,
     roc_to_csv,
     roc_to_svg,
@@ -150,7 +149,11 @@ class TestRoc:
 
     def test_auc_recomputes_from_points(self):
         curve = roc([0.9, 0.4, 0.6, 0.1], [S, N, S, N])
-        assert auc(curve) == curve.auc
+        area = sum(
+            (x1 - x0) * (y0 + y1) / 2.0
+            for (x0, y0, _), (x1, y1, _) in zip(curve.points, curve.points[1:])
+        )
+        assert area == curve.auc
 
 
 class TestKfold:
@@ -164,40 +167,46 @@ class TestKfold:
             )
         return table_from_rows(rows)
 
+    @staticmethod
+    def fold_labels(table, k, seed):
+        return [
+            [table.labels[i] for i in test]
+            for _, test in kfold_indices(table, k, seed)
+        ]
+
     def test_balanced_folds(self):
-        splits = kfold(self.table(10, 10), 5, seed=3)
+        splits = kfold_indices(self.table(10, 10), 5, seed=3)
         assert len(splits) == 5
-        for train_t, test_t in splits:
-            assert test_t.labels.count(N) == 2
-            assert test_t.labels.count(S) == 2
-            assert train_t.n_rows == 16
+        for train, test in splits:
+            assert len(train) == 16
+            assert sorted(train + test) == list(range(20))
+        for labels in self.fold_labels(self.table(10, 10), 5, seed=3):
+            assert labels.count(N) == 2
+            assert labels.count(S) == 2
 
     def test_same_seed_same_split(self):
-        a = kfold(self.table(10, 10), 5, seed=42)
-        b = kfold(self.table(10, 10), 5, seed=42)
-        for (_, ta), (_, tb) in zip(a, b):
-            assert ta.ids == tb.ids
+        a = kfold_indices(self.table(10, 10), 5, seed=42)
+        b = kfold_indices(self.table(10, 10), 5, seed=42)
+        assert a == b
 
     def test_partition(self):
         table = self.table(9, 7)
-        splits = kfold(table, 3, seed=0)
         seen = []
-        for _, test_t in splits:
-            seen.extend(test_t.ids)
+        for _, test in kfold_indices(table, 3, seed=0):
+            seen.extend(table.ids[i] for i in test)
         assert sorted(seen) == sorted(table.ids)
         assert len(set(seen)) == len(seen)
 
     def test_stratification_within_one_row(self):
-        table = self.table(11, 7)
-        for _, test_t in kfold(table, 3, seed=1):
-            assert test_t.labels.count(N) in (3, 4)
-            assert test_t.labels.count(S) in (2, 3)
+        for labels in self.fold_labels(self.table(11, 7), 3, seed=1):
+            assert labels.count(N) in (3, 4)
+            assert labels.count(S) in (2, 3)
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRowsError):
-            kfold(self.table(3, 10), 5, seed=0)
+            kfold_indices(self.table(3, 10), 5, seed=0)
         with pytest.raises(ValueError):
-            kfold(self.table(5, 5), 1, seed=0)
+            kfold_indices(self.table(5, 5), 1, seed=0)
 
 
 class TestRocOutputs:

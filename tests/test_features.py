@@ -27,7 +27,9 @@ from mammoscope.features import (
     table_from_rows,
     table_to_csv,
 )
-from mammoscope.imgio import GrayImage
+from mammoscope.imgio import GrayImage, read_pgm, to_gray, write_pgm
+from mammoscope.phantom import PhantomConfig, render_image
+from mammoscope.preprocess import PreprocessConfig, preprocess_pipeline
 
 
 def two_pass_moments(values):
@@ -199,6 +201,77 @@ class TestExtractFeatures:
 
         expected = [m_w, s_w, g_w, k_w, m_f, s_f, g_f, k_f]
         np.testing.assert_allclose(vec.values, expected, atol=1e-9)
+
+
+# Extended vector of the seeded 64x64 phantom below, recorded with the
+# radix-2 FFT and four-pass moments that numpy primitives later replaced.
+# Byte-identical output is promised only for reruns on one numpy build; the
+# 1e-12 tolerance absorbs last-digit differences between builds and kernels.
+GOLDEN_EXTENDED = (
+    ("wll_mean", 2.236765125570775),
+    ("wll_std", 2.474908383020146),
+    ("wll_skew", 0.5131447351678814),
+    ("wll_kurt", 1.5130797993633627),
+    ("fft_mean", 1.5189365696512553),
+    ("fft_std", 0.7048428838967529),
+    ("fft_skew", 1.6272351478635838),
+    ("fft_kurt", 8.935797042674817),
+    ("whl1_mean", 0.007999785958904066),
+    ("whl1_std", 0.07516221594682508),
+    ("whl1_skew", 2.7198369596207854),
+    ("whl1_kurt", 16.969247291115053),
+    ("wlh1_mean", -0.000874001141552556),
+    ("wlh1_std", 0.06379255249251589),
+    ("wlh1_skew", 0.16802960796367583),
+    ("wlh1_kurt", 29.012459093271232),
+    ("whh1_mean", 9.810216894977109e-05),
+    ("whh1_std", 0.04283865980572342),
+    ("whh1_skew", 0.6270464313079518),
+    ("whh1_kurt", 32.74284736179213),
+    ("whl2_mean", 0.03422463562064931),
+    ("whl2_std", 0.17371521328648978),
+    ("whl2_skew", 2.194521844683839),
+    ("whl2_kurt", 9.276939729390326),
+    ("wlh2_mean", -0.0016772159356766548),
+    ("wlh2_std", 0.13948528477627867),
+    ("wlh2_skew", -0.17465596431289288),
+    ("wlh2_kurt", 17.16910591116903),
+    ("whh2_mean", -0.0017665651372802376),
+    ("whh2_std", 0.08042948342438681),
+    ("whh2_skew", 0.4728801623855156),
+    ("whh2_kurt", 19.891612553384572),
+    ("whl3_mean", 0.14457253672567272),
+    ("whl3_std", 0.5125132798350341),
+    ("whl3_skew", 1.2494527070931325),
+    ("whl3_kurt", 4.055870761832903),
+    ("wlh3_mean", -0.004207529316982695),
+    ("wlh3_std", 0.4459048963712029),
+    ("wlh3_skew", -0.6520078416868419),
+    ("wlh3_kurt", 10.355265156470539),
+    ("whh3_mean", 0.0019102824666693656),
+    ("whh3_std", 0.2082663020554316),
+    ("whh3_skew", 1.567902136926652),
+    ("whh3_kurt", 13.477244450424983),
+    ("xcorr_ll", 0.14080563801136198),
+    ("xcorr_hl", 0.010913866242310314),
+    ("xcorr_lh", 0.005854528013717384),
+    ("xcorr_hh", 0.10928095772332892),
+)
+
+
+class TestGoldenVector:
+    @staticmethod
+    def phantom():
+        cfg = PhantomConfig(size=64, count_per_class=1, seed=11, mass_radius=10.0)
+        img = to_gray(read_pgm(write_pgm(render_image(cfg, 1))))
+        return preprocess_pipeline(img, PreprocessConfig())
+
+    @pytest.mark.parametrize("mode, count", [("default8", 8), ("extended", 48)])
+    def test_pinned_vector(self, mode, count):
+        vec = extract_features(self.phantom(), FeatureConfig(mode=mode))
+        names, values = zip(*GOLDEN_EXTENDED[:count])
+        assert vec.names == names
+        np.testing.assert_allclose(vec.values, values, rtol=1e-12, atol=1e-12)
 
 
 class TestFeatureVector:

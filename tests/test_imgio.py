@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mammoscope.errors import (
     MalformedHeaderError,
+    MammoscopeError,
     SampleOutOfRangeError,
     TruncatedDataError,
 )
@@ -53,6 +56,21 @@ class TestReadPgm:
             read_pgm(b"P2\n1 1\n100\n101")
         with pytest.raises(SampleOutOfRangeError):
             read_pgm(b"P5\n1 1\n100\n" + bytes([200]))
+
+    def test_sample_beyond_int64_is_out_of_range(self):
+        for token in (b"99999999999999999999999", b"-99999999999999999999999"):
+            with pytest.raises(SampleOutOfRangeError):
+                read_pgm(b"P2\n2 1\n255\n3 " + token)
+
+    def test_unreadable_and_negative_samples(self):
+        with pytest.raises(TruncatedDataError):
+            read_pgm(b"P2\n2 1\n255\n3 x")
+        with pytest.raises(TruncatedDataError):
+            read_pgm(b"P2\n2 1\n255\n3 -1")
+
+    def test_comments_inside_ascii_samples(self):
+        raw = read_pgm(b"P2\n3 1\n255#c\n3#four\n4 # five\n5 ignored")
+        assert raw.samples.tolist() == [3, 4, 5]
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(MalformedHeaderError):
@@ -114,3 +132,54 @@ class TestWritePgm:
         once = read_pgm(write_pgm(img, maxval=255))
         twice = read_pgm(write_pgm(to_gray(once), maxval=255))
         assert once.samples.tolist() == twice.samples.tolist()
+
+
+HEADERS = st.sampled_from([b"", b"P2", b"P5", b"P2\n2 2\n255\n", b"P5\n2 1\n65535\n"])
+SAMPLE_TOKENS = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.text(alphabet="0123456789+-_#xe\n\t ", max_size=6),
+)
+
+
+class TestReadPgmProperties:
+    @staticmethod
+    def parses_or_raises_mammoscope_error(data):
+        try:
+            raw = read_pgm(data)
+        except MammoscopeError:
+            return
+        assert raw.samples.shape == (raw.width * raw.height,)
+        assert 0 <= raw.samples.min() and raw.samples.max() <= raw.maxval
+
+    @settings(deadline=None)
+    @given(prefix=HEADERS, tail=st.binary(max_size=64))
+    def test_arbitrary_bytes(self, prefix, tail):
+        self.parses_or_raises_mammoscope_error(prefix + tail)
+
+    @settings(deadline=None)
+    @given(
+        width=st.integers(1, 4),
+        height=st.integers(1, 4),
+        maxval=st.integers(1, 65535),
+        tokens=st.lists(SAMPLE_TOKENS, max_size=20),
+    )
+    def test_p2_header_then_arbitrary_tokens(self, width, height, maxval, tokens):
+        header = f"P2\n{width} {height}\n{maxval}\n".encode()
+        self.parses_or_raises_mammoscope_error(header + " ".join(tokens).encode())
+
+    @settings(deadline=None)
+    @given(
+        binary=st.booleans(),
+        width=st.integers(1, 6),
+        height=st.integers(1, 6),
+        maxval=st.integers(1, 65535),
+        data=st.data(),
+    )
+    def test_write_read_round_trip(self, binary, width, height, maxval, data):
+        samples = data.draw(
+            st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height)
+        )
+        raw = RawImage(width, height, maxval, np.array(samples, dtype=np.int64))
+        back = read_pgm(write_pgm(to_gray(raw), maxval=maxval, binary=binary))
+        assert (back.width, back.height, back.maxval) == (width, height, maxval)
+        assert back.samples.tolist() == samples
