@@ -64,10 +64,40 @@ def train(table: FeatureTable) -> GaussianNbModel:
 
 
 def _normalize_log_probs(log_probs: np.ndarray) -> np.ndarray:
-    shifted = np.exp(log_probs - log_probs.max())
-    probs = shifted / shifted.sum()
+    """Row-wise softmax over the last axis, each probability floored at 1e-15."""
+    shifted = np.exp(log_probs - log_probs.max(axis=-1, keepdims=True))
+    probs = shifted / shifted.sum(axis=-1, keepdims=True)
     probs = np.maximum(probs, _PROB_FLOOR)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def _class_probs(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
+    """P(class | row) for every row of an (n, f) matrix, shape (n, 2)."""
+    if X.ndim != 2 or X.shape[1] != len(model.feature_names):
+        raise FeatureMismatchError(
+            f"{X.shape} matrix does not match {len(model.feature_names)} model features"
+        )
+    # (n, 2, f): the per-feature sum runs over the contiguous last axis,
+    # the same reduction as for a single row, so scores do not depend on n
+    terms = -0.5 * (
+        (X[:, None, :] - model.means) ** 2 / model.variances
+        + np.log(2.0 * np.pi * model.variances)
+    )
+    terms = np.maximum(terms, _LOG_DENSITY_FLOOR)
+    return _normalize_log_probs(np.log(model.priors) + terms.sum(axis=-1))
+
+
+def scores(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
+    """Suspicious-class posterior of every row of an (n, f) feature matrix.
+
+    Columns follow ``model.feature_names``; the result has shape (n,).
+    """
+    return _class_probs(model, X)[:, LABELS.index(SUSPICIOUS)]
+
+
+def decide(score, threshold: float) -> np.ndarray:
+    """Label per score; inclusive, so a score equal to the threshold is suspicious."""
+    return np.where(np.asarray(score) >= threshold, SUSPICIOUS, NORMAL)
 
 
 def posterior(model: GaussianNbModel, x: FeatureVector) -> dict[str, float]:
@@ -76,13 +106,7 @@ def posterior(model: GaussianNbModel, x: FeatureVector) -> dict[str, float]:
         raise FeatureMismatchError(
             f"feature names {x.names} do not match model {model.feature_names}"
         )
-    terms = -0.5 * (
-        (x.values - model.means) ** 2 / model.variances
-        + np.log(2.0 * np.pi * model.variances)
-    )
-    terms = np.maximum(terms, _LOG_DENSITY_FLOOR)
-    log_probs = np.log(model.priors) + terms.sum(axis=1)
-    probs = _normalize_log_probs(log_probs)
+    probs = _class_probs(model, x.values[None, :])[0]
     return {label: float(p) for label, p in zip(model.classes, probs)}
 
 
@@ -94,10 +118,8 @@ def classify(
     The default threshold 0.5 reduces to the largest-posterior rule;
     comparison is inclusive, so an exact tie classifies as suspicious.
     """
-    probs = posterior(model, x)
-    score = probs[SUSPICIOUS]
-    label = SUSPICIOUS if score >= threshold else NORMAL
-    return label, score
+    score = posterior(model, x)[SUSPICIOUS]
+    return str(decide(score, threshold)), score
 
 
 def save_model(model: GaussianNbModel) -> bytes:

@@ -16,20 +16,21 @@ before writing any output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import os
+import secrets
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bayes, evaluation, phantom
 from .config import PipelineConfig, load_config
 from .errors import DegenerateLabelsError, MammoscopeError
+from .evaluation import run_cross_validation
 from .features import (
     LABELS,
-    NORMAL,
-    SUSPICIOUS,
     FeatureTable,
     FeatureVector,
     extract_features,
@@ -66,6 +67,29 @@ def _read_manifest(path: Path) -> list[tuple[str, str]]:
     return rows
 
 
+def _write_output(path: str, data: bytes) -> None:
+    """Write an output file whole or not at all.
+
+    The bytes go to a fresh temporary file beside the target, which
+    ``os.replace`` then renames over it, so a run killed mid-write leaves
+    the previous file, not a truncated one. A target that exists and is
+    not a regular file (a pipe, ``/dev/stdout``) is written in place.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        if target.exists() and not target.is_file():
+            target.write_bytes(data)
+        else:
+            with open(tmp, "xb") as f:
+                f.write(data)
+            os.replace(tmp, target)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise MammoscopeError(f"cannot write {path}: {exc}") from None
+
+
 def _extract_one(task: tuple[str, PipelineConfig]) -> FeatureVector:
     path, cfg = task
     data = Path(path).read_bytes()
@@ -93,35 +117,21 @@ def cmd_extract(args) -> int:
     base = manifest_path.parent
 
     tasks = [(str(base / rel) if not Path(rel).is_absolute() else rel, cfg) for rel, _ in rows]
-    results: list[FeatureVector | None] = [None] * len(tasks)
-    failures: list[tuple[str, str]] = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = list(pool.map(_try_extract, tasks))
-        for i, outcome in enumerate(futures):
-            if isinstance(outcome, str):
-                failures.append((rows[i][0], outcome))
-            else:
-                results[i] = outcome
+            outcomes = list(pool.map(_try_extract, tasks))
     else:
-        for i, task in enumerate(tasks):
-            outcome = _try_extract(task)
-            if isinstance(outcome, str):
-                failures.append((rows[i][0], outcome))
-            else:
-                results[i] = outcome
-
+        outcomes = [_try_extract(task) for task in tasks]
+    failures = [(rel, out) for (rel, _), out in zip(rows, outcomes) if isinstance(out, str)]
     kept = [
-        (rows[i][0], rows[i][1], vec)
-        for i, vec in enumerate(results)
-        if vec is not None
+        (rel, label, out) for (rel, label), out in zip(rows, outcomes) if not isinstance(out, str)
     ]
     for image_id, message in failures:
         print(f"extract failed for {image_id}: {message}", file=sys.stderr)
     if not kept:
         print("error: no image could be extracted", file=sys.stderr)
         return 1
-    Path(args.out).write_text(table_to_csv(table_from_rows(kept)), encoding="ascii")
+    _write_output(args.out, table_to_csv(table_from_rows(kept)).encode("ascii"))
     return 1 if failures else 0
 
 
@@ -150,7 +160,7 @@ def cmd_train(args) -> int:
     if cfg.select_k is not None:
         table = table.select_columns(select_features(table, cfg.select_k))
     model = bayes.train(table)
-    Path(args.out).write_bytes(bayes.save_model(model))
+    _write_output(args.out, bayes.save_model(model))
     print(f"trained on {table.n_rows} rows, {len(table.names)} features -> {args.out}")
     return 0
 
@@ -168,64 +178,10 @@ def cmd_predict(args) -> int:
     except ValueError as exc:
         raise MammoscopeError(str(exc)) from None
 
-    lines = ["id,score,label"]
-    threshold = args.threshold
-    for i in range(table.n_rows):
-        vec = FeatureVector(table.names, table.values[i])
-        label, score = bayes.classify(model, vec, threshold)
-        lines.append(f"{table.ids[i]},{score!r},{label}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
+    scores = bayes.scores(model, table.values)
+    text = evaluation.predictions_to_csv(table.ids, scores, bayes.decide(scores, args.threshold))
+    _write_output(args.out, text.encode("ascii"))
     return 0
-
-
-@dataclass(frozen=True)
-class CvResult:
-    ids: tuple[str, ...]
-    truth: tuple[str, ...]
-    scores: tuple[float, ...]
-    matrix: evaluation.ConfusionMatrix
-    sens: float
-    spec: float
-    curve: evaluation.RocCurve
-
-
-def run_cross_validation(table: FeatureTable, cfg: PipelineConfig) -> CvResult:
-    """Stratified CV, pooling out-of-fold scores into one ROC.
-
-    Feature selection, when configured, runs inside each fold on the
-    training rows only. Pooled scores keep the table's row order.
-    """
-    splits = evaluation.kfold_indices(table, cfg.cv_folds, cfg.cv_seed)
-    pooled = [0.0] * table.n_rows
-    for train_rows, test_rows in splits:
-        train_table = table.subset(train_rows)
-        test_table = table.subset(test_rows)
-        if cfg.select_k is not None:
-            names = select_features(train_table, cfg.select_k)
-            train_table = train_table.select_columns(names)
-            test_table = test_table.select_columns(names)
-        model = bayes.train(train_table)
-        for i, row in enumerate(test_rows):
-            vec = FeatureVector(test_table.names, test_table.values[i])
-            _, score = bayes.classify(model, vec, cfg.classifier_threshold)
-            pooled[row] = score
-
-    ids = tuple(table.ids)
-    truth = tuple(table.labels)
-    scores = tuple(pooled)
-    threshold = cfg.classifier_threshold
-    pred = [SUSPICIOUS if s >= threshold else NORMAL for s in scores]
-    matrix = evaluation.confusion(pred, truth)
-    curve = evaluation.roc(scores, truth)
-    return CvResult(
-        ids,
-        truth,
-        scores,
-        matrix,
-        evaluation.sensitivity(matrix),
-        evaluation.specificity(matrix),
-        curve,
-    )
 
 
 def cmd_evaluate(args) -> int:
@@ -236,6 +192,10 @@ def cmd_evaluate(args) -> int:
     except DegenerateLabelsError as exc:
         raise MammoscopeError(str(exc)) from None
 
+    if args.roc_csv:
+        _write_output(args.roc_csv, evaluation.roc_to_csv(result.curve).encode("ascii"))
+    if args.roc_svg:
+        _write_output(args.roc_svg, evaluation.roc_to_svg(result.curve).encode("ascii"))
     m = result.matrix
     print(f"cases       : {m.total}")
     print(f"folds       : {cfg.cv_folds} (seed {cfg.cv_seed})")
@@ -244,14 +204,6 @@ def cmd_evaluate(args) -> int:
     print(f"sensitivity : {result.sens:.6f}")
     print(f"specificity : {result.spec:.6f}")
     print(f"auc         : {result.curve.auc:.6f}")
-    if args.roc_csv:
-        Path(args.roc_csv).write_text(
-            evaluation.roc_to_csv(result.curve), encoding="ascii"
-        )
-    if args.roc_svg:
-        Path(args.roc_svg).write_text(
-            evaluation.roc_to_svg(result.curve), encoding="ascii"
-        )
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Screening quality metrics: confusion counts, ROC/AUC, CV splits.
+"""Screening quality metrics: confusion counts, ROC/AUC, cross-validation.
 
 The suspicious class is the positive class throughout. ROC uses the
 standard axes, false positive rate (1 - specificity) against true
@@ -10,8 +10,13 @@ random negative, which is what the tests pin it to.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import bayes
+from .config import PipelineConfig
 from .errors import (
     DegenerateLabelsError,
     EmptyInputError,
@@ -20,7 +25,7 @@ from .errors import (
     NoPositivesError,
     TooFewRowsError,
 )
-from .features import LABELS, NORMAL, SUSPICIOUS, FeatureTable
+from .features import LABELS, NORMAL, SUSPICIOUS, FeatureTable, select_features
 from .rng import Rng
 
 
@@ -52,19 +57,13 @@ def confusion(pred, truth) -> ConfusionMatrix:
         raise EmptyInputError("no cases to tally")
     _check_labels(pred)
     _check_labels(truth)
-    tp = fp = tn = fn = 0
-    for p, t in zip(pred, truth):
-        if t == SUSPICIOUS:
-            if p == SUSPICIOUS:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == NORMAL:
-                tn += 1
-            else:
-                fp += 1
-    return ConfusionMatrix(tp, fp, tn, fn)
+    counts = Counter(zip(truth, pred))
+    return ConfusionMatrix(
+        tp=counts[SUSPICIOUS, SUSPICIOUS],
+        fp=counts[NORMAL, SUSPICIOUS],
+        tn=counts[NORMAL, NORMAL],
+        fn=counts[SUSPICIOUS, NORMAL],
+    )
 
 
 def sensitivity(cm: ConfusionMatrix) -> float:
@@ -103,29 +102,24 @@ def roc(scores, truth) -> RocCurve:
     rule as the classifier). The initial point uses an infinite threshold
     so the curve is anchored at (0, 0); the lowest score anchors (1, 1).
     """
-    scores = [float(s) for s in scores]
+    scores = np.array(scores, dtype=np.float64)
     truth = list(truth)
     if len(scores) != len(truth):
         raise LengthMismatchError(f"{len(scores)} scores vs {len(truth)} truths")
     _check_labels(truth)
-    n_pos = sum(1 for t in truth if t == SUSPICIOUS)
+    positive = np.array(truth, dtype=str) == SUSPICIOUS
+    n_pos = int(positive.sum())
     n_neg = len(truth) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("ROC needs at least one case of each class")
 
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
-    points = [(0.0, 0.0, math.inf)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        value = scores[order[i]]
-        while i < len(order) and scores[order[i]] == value:
-            if truth[order[i]] == SUSPICIOUS:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((fp / n_neg, tp / n_pos, value))
+    order = np.argsort(-scores, kind="stable")
+    ranked, hits = scores[order], positive[order]
+    change = ranked[1:] != ranked[:-1]  # runs of equal scores share one point
+    first, last = np.append(True, change), np.append(change, True)
+    tpr = np.cumsum(hits)[last] / n_pos
+    fpr = np.cumsum(~hits)[last] / n_neg
+    points = [(0.0, 0.0, math.inf), *zip(fpr.tolist(), tpr.tolist(), ranked[first].tolist())]
     return RocCurve(tuple(points), _trapezoid_area(points))
 
 
@@ -153,6 +147,53 @@ def kfold_indices(table: FeatureTable, k: int, seed: int) -> list[tuple[list[int
         train = sorted(row for g in range(k) if g != f for row in folds[g])
         splits.append((train, test))
     return splits
+
+
+@dataclass(frozen=True)
+class CvResult:
+    ids: tuple[str, ...]
+    truth: tuple[str, ...]
+    scores: tuple[float, ...]
+    matrix: ConfusionMatrix
+    sens: float
+    spec: float
+    curve: RocCurve
+
+
+def run_cross_validation(table: FeatureTable, cfg: PipelineConfig) -> CvResult:
+    """Stratified CV, pooling out-of-fold scores into one ROC.
+
+    Feature selection, when configured, runs inside each fold on the
+    training rows only. Pooled scores keep the table's row order.
+    """
+    splits = kfold_indices(table, cfg.cv_folds, cfg.cv_seed)
+    pooled = np.empty(table.n_rows)
+    for train_rows, test_rows in splits:
+        train_table = table.subset(train_rows)
+        test_values = table.values[test_rows]
+        if cfg.select_k is not None:
+            train_table = train_table.select_columns(select_features(train_table, cfg.select_k))
+            test_values = test_values[:, [table.names.index(n) for n in train_table.names]]
+        pooled[test_rows] = bayes.scores(bayes.train(train_table), test_values)
+
+    truth = tuple(table.labels)
+    scores = tuple(pooled.tolist())
+    matrix = confusion(bayes.decide(pooled, cfg.classifier_threshold).tolist(), truth)
+    return CvResult(
+        tuple(table.ids),
+        truth,
+        scores,
+        matrix,
+        sensitivity(matrix),
+        specificity(matrix),
+        roc(scores, truth),
+    )
+
+
+def predictions_to_csv(ids, scores: np.ndarray, labels: np.ndarray) -> str:
+    """``id,score,label`` rows with round-trip scores, in the given order."""
+    rows = zip(ids, scores.tolist(), labels.tolist())
+    return "\n".join(["id,score,label", *(f"{i},{s!r},{lab}" for i, s, lab in rows)]) + "\n"
 
 
 def roc_to_csv(curve: RocCurve) -> str:

@@ -220,8 +220,7 @@ class FeatureTable:
         return FeatureTable(tuple(wanted), self.ids, self.labels, self.values[:, cols])
 
     def class_values(self, label: str) -> np.ndarray:
-        rows = [i for i, lab in enumerate(self.labels) if lab == label]
-        return self.values[rows, :]
+        return self.values[np.array(self.labels, dtype=str) == label]
 
 
 def table_from_rows(rows) -> FeatureTable:
@@ -246,10 +245,8 @@ def table_to_csv(table: FeatureTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("id", "label") + table.names)
-    for i in range(table.n_rows):
-        writer.writerow(
-            [table.ids[i], table.labels[i]] + [repr(float(v)) for v in table.values[i]]
-        )
+    for rid, label, row in zip(table.ids, table.labels, table.values.tolist()):
+        writer.writerow([rid, label, *map(repr, row)])
     return buf.getvalue()
 
 
@@ -262,7 +259,10 @@ def table_from_csv(text: str) -> FeatureTable:
     if header[:2] != ["id", "label"]:
         raise ValueError("feature CSV must start with id,label columns")
     names = tuple(header[2:])
-    ids, labels, rows = [], [], []
+    if len(set(names)) != len(names):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"duplicate feature names {repeated} in the header")
+    ids, labels, flat = [], [], []
     for row in reader:
         if not row:
             continue
@@ -270,8 +270,10 @@ def table_from_csv(text: str) -> FeatureTable:
             raise ValueError(f"row {row[0]!r} has {len(row) - 2} values, expected {len(names)}")
         ids.append(row[0])
         labels.append(row[1])
-        rows.append([float(v) for v in row[2:]])
-    values = np.array(rows)
+        flat.extend(map(float, row[2:]))
+    if not ids:
+        raise ValueError("feature CSV has no rows")
+    values = np.array(flat).reshape(len(ids), len(names))
     finite = np.isfinite(values)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

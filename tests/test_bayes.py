@@ -1,9 +1,12 @@
 """Tests for the Gaussian naive Bayes classifier and model persistence."""
 
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mammoscope.bayes import (
     GaussianNbModel,
@@ -13,6 +16,7 @@ from mammoscope.bayes import (
     load_model,
     posterior,
     save_model,
+    scores,
     train,
 )
 from mammoscope.errors import (
@@ -164,7 +168,114 @@ class TestClassify:
                 assert label == argmax
 
 
+def reference_score(model, x):
+    """Suspicious-class posterior of one row, computed the row-at-a-time way."""
+    terms = -0.5 * (
+        (x - model.means) ** 2 / model.variances + np.log(2.0 * np.pi * model.variances)
+    )
+    terms = np.maximum(terms, -745.0)
+    log_probs = np.log(model.priors) + terms.sum(axis=1)
+    shifted = np.exp(log_probs - log_probs.max())
+    probs = shifted / shifted.sum()
+    probs = np.maximum(probs, 1e-15)
+    return (probs / probs.sum())[1]
+
+
+def random_model(rng, n_features):
+    prior = rng.uniform(0.05, 0.95)
+    return GaussianNbModel(
+        ("normal", "suspicious"),
+        np.array([prior, 1.0 - prior]),
+        tuple(f"f{i}" for i in range(n_features)),
+        rng.normal(0.0, 3.0, (2, n_features)),
+        10.0 ** rng.uniform(-12.0, 2.0, (2, n_features)),
+    )
+
+
+class TestBatchScores:
+    # 1 to 200 features: below, at and past numpy's 8-wide unrolled and
+    # 128-element pairwise summation blocks
+    @pytest.mark.parametrize("n_features", [1, 2, 7, 8, 9, 48, 129, 200])
+    def test_bit_identical_to_row_reference(self, n_features):
+        rng = np.random.default_rng(n_features)
+        for _ in range(5):
+            model = random_model(rng, n_features)
+            center = model.means[rng.integers(0, 2)]
+            spread = np.sqrt(model.variances.max(axis=0))
+            X = np.vstack([
+                center + rng.standard_normal((30, n_features)) * spread,
+                center + rng.standard_normal((10, n_features)) * spread * 1e3,
+                rng.normal(0.0, 1e8, (10, n_features)),
+            ])
+            expected = np.array([reference_score(model, x) for x in X])
+            got = scores(model, X)
+            assert got.shape == (len(X),)
+            assert np.array_equal(got, expected)
+            for x, s in zip(X, got):
+                vec = FeatureVector(model.feature_names, x)
+                assert classify(model, vec)[1] == s
+                assert posterior(model, vec)["suspicious"] == s
+
+    def test_both_floors_are_exercised(self):
+        model = GaussianNbModel(
+            ("normal", "suspicious"),
+            np.array([0.5, 0.5]),
+            ("a", "b"),
+            np.array([[0.0, 0.0], [10.0, 10.0]]),
+            np.array([[1.0, 1e-12], [1.0, 1e-12]]),
+        )
+        # row 0: 1e22-sized exponents hit the log-density floor in both classes;
+        # rows 1 and 2: one class is > 1e15 times likelier, hitting the probability floor
+        X = np.array([[5.0, 1e5], [0.0, 0.0], [10.0, 10.0]])
+        got = scores(model, X)
+        assert np.array_equal(got, [reference_score(model, x) for x in X])
+        assert got[0] == 0.5  # floored b terms cancel; only a, equidistant, is left
+        assert got[1] == pytest.approx(1e-15, rel=1e-9)
+        assert 1.0 - 2e-15 < got[2] < 1.0
+
+    def test_empty_matrix_and_wrong_width(self):
+        model = random_model(np.random.default_rng(0), 3)
+        assert scores(model, np.empty((0, 3))).shape == (0,)
+        with pytest.raises(FeatureMismatchError):
+            scores(model, np.zeros((4, 2)))
+
+
+NAMES = st.lists(
+    st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8),
+    min_size=1, max_size=6, unique=True,
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VARIANCE = st.floats(min_value=VARIANCE_FLOOR, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    names = draw(NAMES)
+    n = len(names)
+    p = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    return GaussianNbModel(
+        ("normal", "suspicious"),
+        np.array([p, 1.0 - p]),
+        tuple(names),
+        np.array(draw(st.lists(FINITE, min_size=2 * n, max_size=2 * n))).reshape(2, n),
+        np.array(draw(st.lists(VARIANCE, min_size=2 * n, max_size=2 * n))).reshape(2, n),
+    )
+
+
 class TestPersistence:
+    @settings(deadline=None)
+    @given(model=models())
+    def test_round_trip_property(self, model):
+        back = load_model(save_model(model))
+        assert back.classes == model.classes
+        assert back.feature_names == model.feature_names
+        for field in ("priors", "means", "variances"):
+            got, want = getattr(back, field), getattr(model, field)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert (back.variance_floor, back.version) == (model.variance_floor, model.version)
+
     def test_round_trip_exact(self):
         table = make_table(
             [

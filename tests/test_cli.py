@@ -1,5 +1,9 @@
 """Tests for the command-line pipeline and config parsing."""
 
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
@@ -186,6 +190,131 @@ class TestNonFiniteFeatures:
                     "--roc-csv", str(roc_csv)]) == 2
         assert not roc_csv.exists()
         assert repr(row_id) in capsys.readouterr().err
+
+
+def _small_csv(header="id,label,a,b", n_rows=12):
+    rows = [header]
+    for i in range(n_rows):
+        label = "suspicious" if i % 2 else "normal"
+        rows.append(f"r{i},{label},{i % 5 + 0.5 * (i % 2)},{(i * 7) % 11 / 3}")
+    return "\n".join(rows) + "\n"
+
+
+def _command(command, cfg, features, tmp_path, out_dir=None):
+    """argv for one table-reading command, and the output files it may write."""
+    out_dir = out_dir or tmp_path
+    if command == "train":
+        outs = [out_dir / "m.txt"]
+        return ["train", "--config", cfg, "--features", str(features), "--out", str(outs[0])], outs
+    if command == "predict":
+        good = tmp_path / "good.csv"
+        good.write_text(_small_csv())
+        model = tmp_path / "good_model.txt"
+        assert run(["train", "--config", cfg, "--features", str(good), "--out", str(model)]) == 0
+        outs = [out_dir / "pred.csv"]
+        return ["predict", "--features", str(features), "--model", str(model),
+                "--out", str(outs[0])], outs
+    outs = [out_dir / "roc.csv", out_dir / "roc.svg"]
+    return ["evaluate", "--config", cfg, "--features", str(features),
+            "--roc-csv", str(outs[0]), "--roc-svg", str(outs[1])], outs
+
+
+class TestMalformedFeatureCsv:
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_small_csv("id,label,a,a"), "duplicate feature names ['a']"),
+            ("id,label,a,b\n", "no rows"),
+            ("id,label,a,b\n\n\n", "no rows"),
+        ],
+        ids=["duplicate-name", "header-only", "header-and-blank-lines"],
+    )
+    def test_rejected_with_exit_2_and_nothing_written(
+        self, workdir, tmp_path, capsys, command, text, message
+    ):
+        _, cfg = workdir
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        argv, outputs = _command(command, cfg, bad, tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert not any(p.exists() for p in outputs)
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
+class TestOutputWrites:
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_missing_output_directory_is_exit_2(self, workdir, tmp_path, capsys, command):
+        _, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        argv, outputs = _command(command, cfg, feats, tmp_path, out_dir=tmp_path / "nodir")
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write {outputs[0]}" in captured.err
+        assert captured.out == ""  # evaluate prints no report it could not finish
+
+    def test_extract_missing_output_directory_is_exit_2(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        target = tmp_path / "nodir" / "f.csv"
+        assert run(["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
+                    "--out", str(target)]) == 2
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+    def test_failed_replace_keeps_previous_file(self, workdir, tmp_path, monkeypatch):
+        _, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        model = tmp_path / "m.txt"
+        model.write_text("previous model\n")
+        before = sorted(os.listdir(tmp_path))
+
+        def failing_replace(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        assert run(["train", "--config", cfg, "--features", str(feats),
+                    "--out", str(model)]) == 2
+        assert model.read_text() == "previous model\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_output_replaces_existing_file_whole(self, workdir, tmp_path):
+        _, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        model = tmp_path / "m.txt"
+        model.write_text("x" * 100_000)
+        assert run(["train", "--config", cfg, "--features", str(feats),
+                    "--out", str(model)]) == 0
+        assert model.read_text().startswith("nbmodel v1\n")
+        assert sorted(os.listdir(tmp_path)) == ["f.csv", "m.txt", "pipeline.cfg"]
+
+    def test_pipe_target_is_written_in_place(self, workdir, tmp_path):
+        _, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def reader():
+            with open(fifo, "rb") as f:
+                received.append(f.read())
+
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        assert run(["train", "--config", cfg, "--features", str(feats),
+                    "--out", str(fifo)]) == 0
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert received[0].startswith(b"nbmodel v1\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 class TestTrainPredict:

@@ -1,4 +1,4 @@
-"""Tests for confusion metrics, ROC/AUC and the CV splitter.
+"""Tests for confusion metrics, ROC/AUC, the CV splitter and pooled CV.
 
 The central oracle is pair counting: trapezoidal area under the threshold
 sweep must equal the fraction of positive/negative pairs where the
@@ -6,10 +6,13 @@ positive outscores the negative, ties counted one half.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mammoscope import bayes
+from mammoscope.config import PipelineConfig
 from mammoscope.errors import (
     DegenerateLabelsError,
     EmptyInputError,
@@ -22,13 +25,15 @@ from mammoscope.evaluation import (
     ConfusionMatrix,
     confusion,
     kfold_indices,
+    predictions_to_csv,
     roc,
     roc_to_csv,
     roc_to_svg,
+    run_cross_validation,
     sensitivity,
     specificity,
 )
-from mammoscope.features import FeatureVector, table_from_rows
+from mammoscope.features import FeatureVector, select_features, table_from_rows
 
 N, S = "normal", "suspicious"
 
@@ -92,7 +97,41 @@ class TestRates:
             specificity(ConfusionMatrix(1, 0, 0, 1))
 
 
+def reference_roc_points(scores, truth):
+    """Threshold sweep one case at a time, highest score first."""
+    scores = [float(s) for s in scores]
+    n_pos = truth.count(S)
+    n_neg = len(truth) - n_pos
+    order = sorted(range(len(scores)), key=lambda i: -scores[i])
+    points = [(0.0, 0.0, math.inf)]
+    tp = fp = 0
+    i = 0
+    while i < len(order):
+        value = scores[order[i]]
+        while i < len(order) and scores[order[i]] == value:
+            if truth[order[i]] == S:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        points.append((fp / n_neg, tp / n_pos, value))
+    return tuple(points)
+
+
 class TestRoc:
+    def test_points_equal_case_by_case_sweep(self):
+        rng = np.random.default_rng(3)
+        for n, decimals in [(7, 1), (50, 1), (400, 2), (3000, 17)]:
+            scores = np.round(rng.random(n), decimals).tolist()
+            scores[:4] = [0.0, -0.0, 0.0, -0.0]  # equal but distinct floats
+            truth = [S if v > 0.6 else N for v in rng.random(n)]
+            truth[:2] = [S, N]
+            points = roc(scores, truth).points
+            assert points == reference_roc_points(scores, truth)
+            assert [math.copysign(1.0, p[2]) for p in points] == [
+                math.copysign(1.0, p[2]) for p in reference_roc_points(scores, truth)
+            ]
+
     def test_perfect_separation(self):
         scores = [0.9, 0.8, 0.2, 0.1]
         truth = [S, S, N, N]
@@ -223,3 +262,61 @@ class TestRocOutputs:
         svg = roc_to_svg(curve)
         assert svg.startswith("<svg")
         assert "<polyline" in svg and "AUC" in svg
+
+
+class TestCrossValidation:
+    @staticmethod
+    def table(seed, n_rows=90, n_features=7):
+        rng = np.random.default_rng(seed)
+        names = tuple(f"f{i}" for i in range(n_features))
+        rows = []
+        for i in range(n_rows):
+            label = S if rng.random() < 0.4 else N
+            shift = 0.8 if label == S else 0.0
+            values = rng.standard_normal(n_features) * rng.uniform(0.5, 3.0) + shift
+            rows.append((f"r{i}", label, FeatureVector(names, values)))
+        return table_from_rows(rows)
+
+    @staticmethod
+    def per_row_scores(table, cfg):
+        """Reference: one FeatureVector and one classify call per test row."""
+        pooled = [None] * table.n_rows
+        for train_rows, test_rows in kfold_indices(table, cfg.cv_folds, cfg.cv_seed):
+            train_table = table.subset(train_rows)
+            test_table = table.subset(test_rows)
+            if cfg.select_k is not None:
+                names = select_features(train_table, cfg.select_k)
+                train_table = train_table.select_columns(names)
+                test_table = test_table.select_columns(names)
+            model = bayes.train(train_table)
+            for i, row in enumerate(test_rows):
+                vec = FeatureVector(test_table.names, test_table.values[i])
+                pooled[row] = bayes.classify(model, vec, cfg.classifier_threshold)[1]
+        return tuple(pooled)
+
+    @pytest.mark.parametrize("select_k", [None, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pooled_scores_equal_per_row_classify(self, seed, select_k):
+        table = self.table(seed)
+        cfg = replace(PipelineConfig(), cv_folds=4, cv_seed=seed, select_k=select_k)
+        result = run_cross_validation(table, cfg)
+        expected = self.per_row_scores(table, cfg)
+        assert np.array_equal(result.scores, expected)
+        assert all(type(s) is float for s in result.scores)
+        assert result.ids == table.ids and result.truth == table.labels
+        pred = [S if s >= cfg.classifier_threshold else N for s in expected]
+        assert result.matrix == confusion(pred, table.labels)
+        assert result.curve == roc(expected, table.labels)
+
+
+class TestPredictionsCsv:
+    def test_rows_in_order_with_round_trip_scores(self):
+        scores = np.array([0.1, 2.0 / 3.0, 0.5])
+        labels = bayes.decide(scores, 0.5)
+        text = predictions_to_csv(("a", "b", "c"), scores, labels)
+        assert text == (
+            "id,score,label\n"
+            "a,0.1,normal\n"
+            f"b,{2.0 / 3.0!r},suspicious\n"
+            "c,0.5,suspicious\n"
+        )
