@@ -131,7 +131,7 @@ def cmd_extract(args) -> int:
     if not kept:
         print("error: no image could be extracted", file=sys.stderr)
         return 1
-    _write_output(args.out, table_to_csv(table_from_rows(kept)).encode("ascii"))
+    _write_output(args.out, table_to_csv(table_from_rows(kept)).encode("utf-8"))
     return 1 if failures else 0
 
 
@@ -180,7 +180,7 @@ def cmd_predict(args) -> int:
 
     scores = bayes.scores(model, table.values)
     text = evaluation.predictions_to_csv(table.ids, scores, bayes.decide(scores, args.threshold))
-    _write_output(args.out, text.encode("ascii"))
+    _write_output(args.out, text.encode("utf-8"))
     return 0
 
 

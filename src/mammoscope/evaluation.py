@@ -9,6 +9,8 @@ random negative, which is what the tests pin it to.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -191,9 +193,12 @@ def run_cross_validation(table: FeatureTable, cfg: PipelineConfig) -> CvResult:
 
 
 def predictions_to_csv(ids, scores: np.ndarray, labels: np.ndarray) -> str:
-    """``id,score,label`` rows with round-trip scores, in the given order."""
-    rows = zip(ids, scores.tolist(), labels.tolist())
-    return "\n".join(["id,score,label", *(f"{i},{s!r},{lab}" for i, s, lab in rows)]) + "\n"
+    """``id,score,label`` rows with round-trip scores in the given order, ids csv-quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "score", "label"))
+    writer.writerows(zip(ids, map(repr, scores.tolist()), labels.tolist()))
+    return buf.getvalue()
 
 
 def roc_to_csv(curve: RocCurve) -> str:

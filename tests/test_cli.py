@@ -1,5 +1,7 @@
 """Tests for the command-line pipeline and config parsing."""
 
+import csv
+import io
 import os
 import stat
 import threading
@@ -200,6 +202,12 @@ def _small_csv(header="id,label,a,b", n_rows=12):
     return "\n".join(rows) + "\n"
 
 
+def _small_csv_with_row(index, row):
+    lines = _small_csv().splitlines()
+    lines[index + 1] = row
+    return "\n".join(lines) + "\n"
+
+
 def _command(command, cfg, features, tmp_path, out_dir=None):
     """argv for one table-reading command, and the output files it may write."""
     out_dir = out_dir or tmp_path
@@ -227,8 +235,15 @@ class TestMalformedFeatureCsv:
             (_small_csv("id,label,a,a"), "duplicate feature names ['a']"),
             ("id,label,a,b\n", "no rows"),
             ("id,label,a,b\n\n\n", "no rows"),
+            (_small_csv_with_row(3, "r3,normal,1,2,3"), "at row 4"),
+            (_small_csv_with_row(3, "r3,normal,1"), "at row 4"),
+            (_small_csv_with_row(3, "r3,normal,,2"), "''"),
+            (_small_csv_with_row(3, "r3,normal,abc,2"), "'abc'"),
+            (_small_csv_with_row(3, "r3,normal,1_0,2"), "'1_0'"),
+            (_small_csv_with_row(3, "r3,suspiciousX,1,2"), "unknown label 'suspiciousX'"),
         ],
-        ids=["duplicate-name", "header-only", "header-and-blank-lines"],
+        ids=["duplicate-name", "header-only", "header-and-blank-lines", "too-many-values",
+             "too-few-values", "empty-field", "garbage-token", "digit-separator", "bad-label"],
     )
     def test_rejected_with_exit_2_and_nothing_written(
         self, workdir, tmp_path, capsys, command, text, message
@@ -335,6 +350,46 @@ class TestTrainPredict:
             _, score, label = line.rsplit(",", 2)
             assert 0.0 < float(score) < 1.0
             assert label in ("normal", "suspicious")
+
+    def test_quoted_ids_survive_predict(self, workdir, tmp_path):
+        _, cfg = workdir
+        lines = _small_csv().splitlines()
+        lines[1] = '"a,b"' + lines[1][2:]
+        lines[2] = '"say ""hi"""' + lines[2][2:]
+        feats = tmp_path / "quoted.csv"
+        feats.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.txt"
+        pred = tmp_path / "pred.csv"
+        assert run(["train", "--config", cfg, "--features", str(feats),
+                    "--out", str(model)]) == 0
+        assert run(["predict", "--features", str(feats), "--model", str(model),
+                    "--out", str(pred)]) == 0
+        rows = list(csv.reader(io.StringIO(pred.read_text())))
+        assert rows[0] == ["id", "score", "label"]
+        assert all(len(r) == 3 for r in rows)
+        assert [r[0] for r in rows[1:4]] == ["a,b", 'say "hi"', "r2"]
+
+    def test_non_ascii_id_through_every_command(self, workdir, tmp_path, capsys):
+        _, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        manifest = out / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        first = lines[1].split(",")[0]
+        (out / first).rename(out / "é.pgm")
+        lines[1] = lines[1].replace(first, "é.pgm")
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        feats, model, pred = tmp_path / "f.csv", tmp_path / "m.txt", tmp_path / "p.csv"
+        assert run(["extract", "--config", cfg, "--manifest", str(manifest),
+                    "--out", str(feats)]) == 0
+        assert feats.read_text(encoding="utf-8").splitlines()[1].startswith("é.pgm,")
+        assert run(["train", "--config", cfg, "--features", str(feats),
+                    "--out", str(model)]) == 0
+        assert run(["predict", "--features", str(feats), "--model", str(model),
+                    "--out", str(pred)]) == 0
+        assert pred.read_text(encoding="utf-8").splitlines()[1].startswith("é.pgm,")
+        assert run(["evaluate", "--config", cfg, "--features", str(feats)]) == 0
+        assert "cases       : 12" in capsys.readouterr().out
 
     @pytest.mark.parametrize("threshold", ["7", "1", "0", "-0.5", "nan"])
     def test_predict_threshold_outside_unit_interval(self, workdir, capsys, threshold):

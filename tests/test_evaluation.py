@@ -5,6 +5,8 @@ sweep must equal the fraction of positive/negative pairs where the
 positive outscores the negative, ties counted one half.
 """
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -320,3 +322,13 @@ class TestPredictionsCsv:
             f"b,{2.0 / 3.0!r},suspicious\n"
             "c,0.5,suspicious\n"
         )
+
+    def test_ids_quoted_by_csv_rules(self):
+        ids = ("a,b", 'say "hi"', "line\nbreak", "é.pgm", "#lead")
+        scores = np.array([0.25, 0.5, 0.75, 0.125, 0.875])
+        text = predictions_to_csv(ids, scores, bayes.decide(scores, 0.5))
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["id", "score", "label"]
+        assert all(len(r) == 3 for r in rows)
+        assert tuple(r[0] for r in rows[1:]) == ids
+        assert [float(r[1]) for r in rows[1:]] == scores.tolist()

@@ -6,10 +6,15 @@ transform for the end-to-end extraction check, and hand-evaluated Fisher
 ratios for the ranking.
 """
 
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mammoscope.errors import BadKError, EmptyMapError, InsufficientDataError
 from mammoscope.features import (
@@ -325,6 +330,156 @@ class TestFeatureTable:
         vec = FeatureVector(("a",), np.array([1.0]))
         with pytest.raises(ValueError):
             table_from_rows([("x", "benign", vec)])
+
+
+def reference_table_from_csv(text):
+    """Row-at-a-time oracle: ``csv.reader``, blank rows skipped, ``float()`` per value."""
+    reader = csv.reader(io.StringIO(text))
+    names = tuple(next(reader)[2:])
+    ids, labels, rows = [], [], []
+    for row in reader:
+        if not row:
+            continue
+        assert len(row) == len(names) + 2
+        ids.append(row[0])
+        labels.append(row[1])
+        rows.append([float(v) for v in row[2:]])
+    values = np.array(rows, dtype=float).reshape(len(ids), len(names))
+    return names, tuple(ids), tuple(labels), values
+
+
+def assert_same_table(table, names, ids, labels, values):
+    assert table.names == names
+    assert table.ids == ids
+    assert table.labels == labels
+    assert table.values.shape == values.shape
+    assert np.array_equal(table.values.view(np.int64), values.view(np.int64))
+
+
+# Ids a csv writer must quote or that a comment-aware reader would drop.
+AWKWARD_IDS = ["a,b", 'say "hi"', "#lead", "é.pgm", "new\nline", " padded ", "", "日本"]
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+@st.composite
+def tables(draw):
+    n_features = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(1, 6))
+    ids = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(AWKWARD_IDS),
+                st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r")),
+            ),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    labels = draw(st.lists(st.sampled_from(["normal", "suspicious"]), min_size=n_rows,
+                           max_size=n_rows))
+    values = draw(st.lists(FINITE, min_size=n_rows * n_features, max_size=n_rows * n_features))
+    return FeatureTable(
+        tuple(f"f{j}" for j in range(n_features)),
+        tuple(ids),
+        tuple(labels),
+        np.array(values, dtype=float).reshape(n_rows, n_features),
+    )
+
+
+def _format_value(rng, x):
+    formats = ["{!r}", "{:.17g}", "{:.3e}", "{:.0f}", "{:+.5f}", "{:.6E}", " {!r} ", "{:g}"]
+    return formats[rng.integers(len(formats))].format(x)
+
+
+def random_csv(seed):
+    """A seeded feature CSV in mixed number formats, quoting styles and line endings."""
+    rng = np.random.default_rng(seed)
+    n_rows, n_features = int(rng.integers(1, 40)), int(rng.integers(0, 8))
+    bits = rng.integers(-(2**63), 2**63 - 1, size=(n_rows, n_features), dtype=np.int64)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = -0.0
+    values *= rng.random(values.shape) < 0.8  # some exact zeros of either sign
+    quoting = csv.QUOTE_ALL if rng.random() < 0.3 else csv.QUOTE_MINIMAL
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=quoting, lineterminator="\r\n" if seed % 2 else "\n")
+    writer.writerow(["id", "label", *(f"f{j}" for j in range(n_features))])
+    for i in range(n_rows):
+        rid = AWKWARD_IDS[i % len(AWKWARD_IDS)] + str(i) if rng.random() < 0.5 else f"img{i}"
+        label = "suspicious" if rng.random() < 0.5 else "normal"
+        writer.writerow([rid, label, *(_format_value(rng, x) for x in values[i].tolist())])
+        if rng.random() < 0.2:
+            writer.writerow([])
+    return buf.getvalue()
+
+
+class TestCsvParse:
+    @settings(deadline=None)
+    @given(table=tables())
+    @example(
+        table=FeatureTable(
+            ("f0", "f1", "f2"),
+            ("a,b", "#x"),
+            ("normal", "suspicious"),
+            np.array([[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.0]]),
+        )
+    )
+    def test_round_trip_is_bit_exact(self, table):
+        back = table_from_csv(table_to_csv(table))
+        assert_same_table(back, table.names, table.ids, table.labels, table.values)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_row_at_a_time_reference(self, seed):
+        text = random_csv(seed)
+        assert_same_table(table_from_csv(text), *reference_table_from_csv(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,label,a,b\r\nx,normal,1,2\r\ny,suspicious,3.5,-4e-3\r\n",
+            "id,label,a,b\n\nx,normal,1,2\n\n\ny,suspicious,3,4\n\n",
+            "id,label,a,b\n#x,normal,1,2\n# y,suspicious,3,4\n",
+            'id,label,"a\nb",c\nx,normal,1,2\n',
+            "id,label\nx,normal\ny,suspicious\n",
+            "id,label,a\nx,normal,1",
+        ],
+        ids=["crlf", "blank-lines", "hash-ids", "quoted-newline-header", "no-features",
+             "no-final-newline"],
+    )
+    def test_accepted(self, text):
+        assert_same_table(table_from_csv(text), *reference_table_from_csv(text))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("y,normal,1,2,3", "row 2"),
+            ("y,normal,1", "row 2"),
+            ("y,normal,,2", "''"),
+            ("y,normal,abc,2", "'abc'"),
+            ("y,normal,1_0,2", "'1_0'"),
+            ("y,suspiciousX,1,2", "unknown label 'suspiciousX'"),
+        ],
+        ids=["too-many", "too-few", "empty-field", "garbage", "digit-separator", "bad-label"],
+    )
+    def test_rejected(self, row, message):
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            table_from_csv(f"id,label,a,b\nx,normal,1,2\n\n{row}\nz,normal,3,4\n")
+        assert "usecols" not in str(info.value)
+
+    @settings(deadline=None)
+    @given(body=st.text(st.sampled_from(list('ab,"\n\r 1.e-+#_\x00é\tnormalsuspicious'))))
+    def test_arbitrary_text_raises_only_value_error(self, body):
+        for header in ("", "id,label,a,b\n", "id,label\n"):
+            try:
+                table_from_csv(header + body)
+            except ValueError:
+                pass
+
+    def test_unreadable_header_is_value_error(self):
+        with pytest.raises(ValueError, match="unreadable header"):
+            table_from_csv("id,label," + "a" * 200_000 + "\nx,normal,1\n")
 
 
 class TestSelectFeatures:
