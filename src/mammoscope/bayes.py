@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     CorruptModelError,
-    EmptyTableError,
     FeatureMismatchError,
     MissingClassError,
     UnknownVersionError,
@@ -39,8 +38,6 @@ class GaussianNbModel:
     feature_names: tuple[str, ...]
     means: np.ndarray  # shape (2, n_features)
     variances: np.ndarray  # shape (2, n_features)
-    variance_floor: float = VARIANCE_FLOOR
-    version: int = MODEL_VERSION
 
 
 def train(table: FeatureTable) -> GaussianNbModel:
@@ -50,8 +47,6 @@ def train(table: FeatureTable) -> GaussianNbModel:
     max(1e-9 * global feature variance, 1e-12) so single-row classes stay
     usable.
     """
-    if table.n_rows == 0:
-        raise EmptyTableError("cannot train on an empty table")
     per_class = [table.class_values(label) for label in LABELS]
     for label, rows in zip(LABELS, per_class):
         if len(rows) == 0:
@@ -124,7 +119,7 @@ def classify(
 
 def save_model(model: GaussianNbModel) -> bytes:
     """Line-oriented text encoding with full round-trip float precision."""
-    lines = [f"nbmodel v{model.version}"]
+    lines = [f"nbmodel v{MODEL_VERSION}"]
     for label, prior in zip(model.classes, model.priors):
         lines.append(f"prior {label} {float(prior)!r}")
     for c, label in enumerate(model.classes):

@@ -46,7 +46,7 @@ from .preprocess import preprocess_pipeline
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MammoscopeError(f"cannot read manifest {path}: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
@@ -146,7 +146,7 @@ def _try_extract(task: tuple[str, PipelineConfig]) -> FeatureVector | str:
 def _load_table(path: str) -> FeatureTable:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MammoscopeError(f"cannot read features {path}: {exc}") from None
     try:
         return table_from_csv(text)

@@ -5,9 +5,9 @@ comments, no nesting. Unknown keys are errors so typos fail loudly
 instead of silently running defaults.
 """
 
-from __future__ import annotations
-
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError
@@ -29,121 +29,71 @@ class PipelineConfig:
 
 
 def _parse_bool(raw: str) -> bool:
-    if raw == "on":
-        return True
-    if raw == "off":
-        return False
-    raise ValueError(f"expected on/off, got {raw!r}")
+    if raw not in ("on", "off"):
+        raise ValueError(f"expected on/off, got {raw!r}")
+    return raw == "on"
 
 
-def _parse_float(raw: str) -> float:
-    return float(raw)
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw)
+def _choice(allowed: tuple[str, ...], raw: str) -> str:
+    if raw not in allowed:
+        raise ValueError(f"expected one of {allowed}, got {raw!r}")
+    return raw
 
 
-def _choice(*allowed: str):
-    def parse(raw: str) -> str:
-        if raw not in allowed:
-            raise ValueError(f"expected one of {allowed}, got {raw!r}")
-        return raw
-
-    return parse
-
-
-_SCHEMA = {
-    "preprocess.threshold": _parse_float,
-    "preprocess.orient": _parse_bool,
-    "preprocess.artifact_removal": _parse_bool,
-    "wavelet.filter": _choice(*FILTER_NAMES),
-    "wavelet.levels": _parse_int,
-    "features.mode": _choice(*FEATURE_MODES),
-    "select.k": _parse_int,
-    "classifier.threshold": _parse_float,
-    "cv.k": _parse_int,
-    "cv.seed": _parse_int,
-    "phantom.size": _parse_int,
-    "phantom.count_per_class": _parse_int,
-    "phantom.seed": _parse_int,
-    "phantom.noise_sigma": _parse_float,
-    "phantom.mass_amplitude": _parse_float,
-    "phantom.mass_radius": _parse_float,
-    "phantom.microcalc_count": _parse_int,
-    "phantom.microcalc_amplitude": _parse_float,
-    "phantom.artifact_label": _parse_bool,
+# key -> (PipelineConfig field, attribute of that section or None, parser)
+_KEYS = {
+    "preprocess.threshold": ("preprocess", "threshold", _finite_float),
+    "preprocess.orient": ("preprocess", "orient", _parse_bool),
+    "preprocess.artifact_removal": ("preprocess", "artifact_removal", _parse_bool),
+    "wavelet.filter": ("features", "filter", partial(_choice, FILTER_NAMES)),
+    "wavelet.levels": ("features", "levels", int),
+    "features.mode": ("features", "mode", partial(_choice, FEATURE_MODES)),
+    "select.k": ("select_k", None, int),
+    "classifier.threshold": ("classifier_threshold", None, _finite_float),
+    "cv.k": ("cv_folds", None, int),
+    "cv.seed": ("cv_seed", None, int),
+    "phantom.size": ("phantom", "size", int),
+    "phantom.count_per_class": ("phantom", "count_per_class", int),
+    "phantom.seed": ("phantom", "seed", int),
+    "phantom.noise_sigma": ("phantom", "noise_sigma", _finite_float),
+    "phantom.mass_amplitude": ("phantom", "mass_amplitude", _finite_float),
+    "phantom.mass_radius": ("phantom", "mass_radius", _finite_float),
+    "phantom.microcalc_count": ("phantom", "microcalc_count", int),
+    "phantom.microcalc_amplitude": ("phantom", "microcalc_amplitude", _finite_float),
+    "phantom.artifact_label": ("phantom", "artifact_label", _parse_bool),
 }
 
 
 def parse_config(text: str, source: str = "<config>") -> PipelineConfig:
-    values: dict[str, object] = {}
+    cfg = PipelineConfig()
+    unseen = dict(_KEYS)
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {raw_line!r}")
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        raw_value = raw_value.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        key, _, raw_value = map(str.strip, line.partition("="))
+        if key not in unseen:
+            problem = "duplicate" if key in _KEYS else "unknown"
+            raise ConfigError(f"{source}:{lineno}: {problem} key {key!r}")
+        field, attr, parse = unseen.pop(key)
         try:
-            values[key] = _SCHEMA[key](raw_value)
+            value = parse(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
-    return _build(values, source)
-
-
-def _build(values: dict[str, object], source: str) -> PipelineConfig:
-    cfg = PipelineConfig()
-    pre = cfg.preprocess
-    if "preprocess.threshold" in values:
-        pre = replace(pre, threshold=values["preprocess.threshold"])
-    if "preprocess.orient" in values:
-        pre = replace(pre, orient=values["preprocess.orient"])
-    if "preprocess.artifact_removal" in values:
-        pre = replace(pre, artifact_removal=values["preprocess.artifact_removal"])
-
-    feats = cfg.features
-    if "wavelet.filter" in values:
-        feats = replace(feats, filter=values["wavelet.filter"])
-    if "wavelet.levels" in values:
-        feats = replace(feats, levels=values["wavelet.levels"])
-    if "features.mode" in values:
-        feats = replace(feats, mode=values["features.mode"])
-
-    ph = cfg.phantom
-    for key, attr in (
-        ("phantom.size", "size"),
-        ("phantom.count_per_class", "count_per_class"),
-        ("phantom.seed", "seed"),
-        ("phantom.noise_sigma", "noise_sigma"),
-        ("phantom.mass_amplitude", "mass_amplitude"),
-        ("phantom.mass_radius", "mass_radius"),
-        ("phantom.microcalc_count", "microcalc_count"),
-        ("phantom.microcalc_amplitude", "microcalc_amplitude"),
-        ("phantom.artifact_label", "artifact_label"),
-    ):
-        if key in values:
-            ph = replace(ph, **{attr: values[key]})
-
-    built = PipelineConfig(
-        preprocess=pre,
-        features=feats,
-        select_k=values.get("select.k", cfg.select_k),
-        classifier_threshold=values.get(
-            "classifier.threshold", cfg.classifier_threshold
-        ),
-        cv_folds=values.get("cv.k", cfg.cv_folds),
-        cv_seed=values.get("cv.seed", cfg.cv_seed),
-        phantom=ph,
-    )
-    _validate(built, source)
-    return built
+        if attr is not None:
+            value = replace(getattr(cfg, field), **{attr: value})
+        cfg = replace(cfg, **{field: value})
+    _validate(cfg, source)
+    return cfg
 
 
 def _validate(cfg: PipelineConfig, source: str) -> None:
@@ -167,9 +117,8 @@ def load_config(path: str | None) -> PipelineConfig:
     """Read a config file; None means all defaults."""
     if path is None:
         return PipelineConfig()
-    file = Path(path)
     try:
-        text = file.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, source=str(path))

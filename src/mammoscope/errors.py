@@ -76,10 +76,6 @@ class MissingClassError(MammoscopeError):
     """Training table has zero rows for one of the classes."""
 
 
-class EmptyTableError(MammoscopeError):
-    """Training table has no rows at all."""
-
-
 class FeatureMismatchError(MammoscopeError):
     """Input feature names do not match the model's feature names."""
 

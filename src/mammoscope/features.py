@@ -195,9 +195,9 @@ class FeatureTable:
         rows = len(self.ids)
         if len(self.labels) != rows or self.values.shape != (rows, len(self.names)):
             raise ValueError("inconsistent table dimensions")
-        for label in self.labels:
+        for number, (rid, label) in enumerate(zip(self.ids, self.labels), start=1):
             if label not in LABELS:
-                raise ValueError(f"unknown label {label!r}")
+                raise ValueError(f"row {rid!r} (data row {number}): unknown label {label!r}")
 
     @property
     def n_rows(self) -> int:
@@ -251,10 +251,36 @@ def table_to_csv(table: FeatureTable) -> str:
     return buf.getvalue()
 
 
+def _reads_as_float(token: str) -> bool:
+    """Whether ``np.loadtxt`` reads the token as a float64."""
+    core = token.strip()
+    try:
+        float(core)
+    except ValueError:
+        return False
+    return core.isascii() and "_" not in core
+
+
+def _first_bad_row(rows: io.StringIO, names: tuple[str, ...]) -> str | None:
+    """Name the first row loadtxt rejects; data rows count from 1, blank lines skipped."""
+    try:
+        for number, row in enumerate(filter(None, csv.reader(rows)), start=1):
+            where = f"row {row[0]!r} (data row {number})"
+            if len(row) != 2 + len(names):
+                return f"{where}: {len(row)} fields, expected {2 + len(names)}"
+            for name, token in zip(names, row[2:]):
+                if not _reads_as_float(token):
+                    return f"{where}: cannot read {token!r} as a number for {name!r}"
+    except csv.Error:
+        pass
+    return None
+
+
 def table_from_csv(text: str) -> FeatureTable:
     """Parse the header with ``csv``, then every row in one ``np.loadtxt`` pass.
 
     Values convert bit-identically to ``float()``; ``1_0``-style separators are rejected.
+    Errors name the row by id and by its 1-based data-row number.
     """
     buf = io.StringIO(text)
     try:
@@ -270,6 +296,7 @@ def table_from_csv(text: str) -> FeatureTable:
         repeated = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate feature names {repeated} in the header")
     row_dtype = np.dtype([("id", object), ("label", object), ("v", np.float64, (len(names),))])
+    body = buf.tell()
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -277,7 +304,9 @@ def table_from_csv(text: str) -> FeatureTable:
                 buf, dtype=row_dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
             )
     except ValueError as exc:
-        raise ValueError(str(exc).partition("; use `usecols`")[0]) from None
+        buf.seek(body)
+        problem = _first_bad_row(buf, names) or str(exc).partition("; use `usecols`")[0]
+        raise ValueError(problem) from None
     if not len(rows):
         raise ValueError("feature CSV has no rows")
     ids = tuple(rows["id"].tolist())
@@ -285,7 +314,8 @@ def table_from_csv(text: str) -> FeatureTable:
     finite = np.isfinite(values)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
-        raise ValueError(f"row {ids[r]!r} has a non-finite value for {names[c]!r}")
+        where = f"row {ids[r]!r} (data row {r + 1})"
+        raise ValueError(f"{where}: non-finite value for {names[c]!r}")
     return FeatureTable(names, ids, tuple(rows["label"].tolist()), values)
 
 

@@ -19,7 +19,6 @@ from .errors import (
     TruncatedDataError,
 )
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
 MAX_MAXVAL = 65535
 
 
@@ -48,27 +47,13 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-def _skip_space(data: bytes, pos: int) -> int:
-    """Advance past whitespace and '#' comments (comment runs to end of line)."""
-    n = len(data)
-    while pos < n:
-        if data[pos] == ord("#"):
-            while pos < n and data[pos] != ord("\n"):
-                pos += 1
-        elif data[pos] in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    return pos
+# a run of whitespace bytes and '#'-to-end-of-line comments, then one token
+_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*([^ \t\r\n\x0b\x0c#]*)")
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    pos = _skip_space(data, pos)
-    start = pos
-    n = len(data)
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
-        pos += 1
-    return data[start:pos], pos
+    match = _TOKEN.match(data, pos)
+    return match.group(1), match.end()
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:

@@ -33,14 +33,6 @@ class BinaryMask:
 
     bits: np.ndarray
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
 
 def orient(img: GrayImage) -> GrayImage:
     """Mirror the image horizontally when its intensity mass sits on the right.

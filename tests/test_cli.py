@@ -127,6 +127,20 @@ class TestExtractCommand:
         assert run(["extract", "--config", cfg, "--manifest", str(bad),
                     "--out", str(tmp_path / "f.csv")]) == 2
 
+    def test_undecodable_manifest_is_exit_2(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        manifest = out / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes() + b"caf\xe9.pgm,normal\n")
+        feats = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert run(["extract", "--config", cfg, "--manifest", str(manifest),
+                    "--out", str(feats)]) == 2
+        assert not feats.exists()
+        err = capsys.readouterr().err
+        assert f"cannot read manifest {manifest}" in err and "Traceback" not in err
+
     def test_jobs_flag_matches_serial(self, workdir):
         tmp_path, cfg = workdir
         out = tmp_path / "images"
@@ -235,8 +249,8 @@ class TestMalformedFeatureCsv:
             (_small_csv("id,label,a,a"), "duplicate feature names ['a']"),
             ("id,label,a,b\n", "no rows"),
             ("id,label,a,b\n\n\n", "no rows"),
-            (_small_csv_with_row(3, "r3,normal,1,2,3"), "at row 4"),
-            (_small_csv_with_row(3, "r3,normal,1"), "at row 4"),
+            (_small_csv_with_row(3, "r3,normal,1,2,3"), "row 'r3' (data row 4)"),
+            (_small_csv_with_row(3, "r3,normal,1"), "row 'r3' (data row 4)"),
             (_small_csv_with_row(3, "r3,normal,,2"), "''"),
             (_small_csv_with_row(3, "r3,normal,abc,2"), "'abc'"),
             (_small_csv_with_row(3, "r3,normal,1_0,2"), "'1_0'"),
@@ -257,6 +271,20 @@ class TestMalformedFeatureCsv:
         assert not any(p.exists() for p in outputs)
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_undecodable_csv_is_exit_2(self, workdir, tmp_path, capsys, command):
+        _, cfg = workdir
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(_small_csv().encode("ascii") + b"r\xff,normal,1,2\n")
+        argv, outputs = _command(command, cfg, bad, tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert not any(p.exists() for p in outputs)
+        captured = capsys.readouterr()
+        assert f"cannot read features {bad}" in captured.err
         assert captured.out == ""
 
 

@@ -21,6 +21,7 @@ from mammoscope.features import (
     FeatureConfig,
     FeatureTable,
     FeatureVector,
+    _reads_as_float,
     cross_correlation,
     extract_features,
     kurtosis,
@@ -467,6 +468,52 @@ class TestCsvParse:
         with pytest.raises(ValueError, match=re.escape(message)) as info:
             table_from_csv(f"id,label,a,b\nx,normal,1,2\n\n{row}\nz,normal,3,4\n")
         assert "usecols" not in str(info.value)
+        assert str(info.value).startswith("row 'y' (data row 2): ")
+
+    @pytest.mark.parametrize(
+        "row", ["y,normal,abc,2", "y,normal,1,2,3", "y,normal", "y,suspiciousX,1,2",
+                "y,normal,nan,2"],
+    )
+    def test_first_data_row_is_row_1(self, row):
+        with pytest.raises(ValueError) as info:
+            table_from_csv(f"id,label,a,b\r\n\r\n{row}\r\nz,normal,3,4\r\n")
+        assert str(info.value).startswith("row 'y' (data row 1): ")
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_error_names_the_corrupted_row(self, seed):
+        """Row numbers count data rows across blank lines, CRLF and quoted newlines."""
+        text = random_csv(seed)
+        rows = list(csv.reader(io.StringIO(text)))
+        data = [i for i, row in enumerate(rows) if row][1:]
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(len(data)))
+        row = rows[data[k]]
+        kind = ["extra", "missing", "token"][seed % (3 if len(row) > 2 else 2)]
+        if kind == "extra":
+            row.append("1.0")
+        elif kind == "missing":
+            row.pop()
+        else:
+            row[2 + int(rng.integers(len(row) - 2))] = "0x1p3"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n" if seed % 2 else "\n").writerows(rows)
+        with pytest.raises(ValueError) as info:
+            table_from_csv(buf.getvalue())
+        assert str(info.value).startswith(f"row {row[0]!r} (data row {k + 1}): ")
+        if kind == "token":
+            assert "'0x1p3'" in str(info.value)
+
+    @settings(deadline=None)
+    @given(token=st.text(st.sampled_from(list("01.eE+-_ \t\x0b\x0c\x1c\x85\xa0\u3000infaxé٣\x00")),
+                         max_size=6))
+    def test_reads_as_float_matches_loadtxt(self, token):
+        dtype = [("id", object), ("v", np.float64, (1,))]
+        try:
+            np.loadtxt([f"x,{token}"], dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            loadtxt_reads = True
+        except ValueError:
+            loadtxt_reads = False
+        assert _reads_as_float(token) == loadtxt_reads
 
     @settings(deadline=None)
     @given(body=st.text(st.sampled_from(list('ab,"\n\r 1.e-+#_\x00é\tnormalsuspicious'))))

@@ -11,7 +11,32 @@ from mammoscope.errors import (
     SampleOutOfRangeError,
     TruncatedDataError,
 )
-from mammoscope.imgio import GrayImage, RawImage, read_pgm, to_gray, write_pgm
+from mammoscope.imgio import GrayImage, RawImage, _next_token, read_pgm, to_gray, write_pgm
+
+_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+def reference_skip_space(data: bytes, pos: int) -> int:
+    """Byte-at-a-time header scanner: skip whitespace and '#' comments."""
+    n = len(data)
+    while pos < n:
+        if data[pos] == ord("#"):
+            while pos < n and data[pos] != ord("\n"):
+                pos += 1
+        elif data[pos] in _WHITESPACE:
+            pos += 1
+        else:
+            break
+    return pos
+
+
+def reference_next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    pos = reference_skip_space(data, pos)
+    start = pos
+    n = len(data)
+    while pos < n and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
+        pos += 1
+    return data[start:pos], pos
 
 
 class TestReadPgm:
@@ -142,6 +167,28 @@ SAMPLE_TOKENS = st.one_of(
 
 
 class TestReadPgmProperties:
+    @settings(deadline=None)
+    @given(
+        data=st.one_of(
+            st.binary(max_size=48),
+            st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#",
+                                      b"P2", b"12", b"\x00", b"\xff", b"a", b"\x85", b"\xa0"]),
+                     max_size=24).map(b"".join),
+        ),
+        pick=st.data(),
+    )
+    def test_tokenizer_matches_byte_loop_reference(self, data, pick):
+        pos = pick.draw(st.integers(0, len(data)))
+        assert _next_token(data, pos) == reference_next_token(data, pos)
+        # walking the whole buffer token by token gives the same sequence
+        got = want = 0
+        for _ in range(len(data) + 1):
+            token, got = _next_token(data, got)
+            ref, want = reference_next_token(data, want)
+            assert (token, got) == (ref, want)
+            if not ref:
+                break
+
     @staticmethod
     def parses_or_raises_mammoscope_error(data):
         try:
