@@ -48,15 +48,16 @@ def _read_manifest(path: Path) -> list[tuple[str, str]]:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise MammoscopeError(f"cannot read manifest {path}: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MammoscopeError(f"manifest {path} is empty") from None
-    if header != ["path", "label"]:
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise MammoscopeError(f"cannot parse manifest {path}: {exc}") from None
+    if not records:
+        raise MammoscopeError(f"manifest {path} is empty")
+    if records[0] != ["path", "label"]:
         raise MammoscopeError(f"manifest {path} must have header path,label")
     rows = []
-    for row in reader:
+    for row in records[1:]:
         if not row:
             continue
         if len(row) != 2 or row[1] not in LABELS:

@@ -14,6 +14,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -242,13 +243,20 @@ def table_from_rows(rows) -> FeatureTable:
 
 
 def table_to_csv(table: FeatureTable) -> str:
-    """Serialize with ``id,label,<names...>`` header and round-trip floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("id", "label") + table.names)
-    for rid, label, row in zip(table.ids, table.labels, table.values.tolist()):
-        writer.writerow([rid, label, *map(repr, row)])
-    return buf.getvalue()
+    """Serialize with ``id,label,<names...>`` header and round-trip floats.
+
+    Only the header, ids and labels can need quoting, so only they go
+    through ``csv``; a float's ``repr`` never holds a comma, quote or newline.
+    """
+    # writerow returns what ``write`` returns: here, the quoted line itself
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    sep = "," if table.names else ""
+    lines = [line(("id", "label") + table.names)]
+    lines += [
+        line((rid, label))[:-1] + sep + ",".join(map(repr, row)) + "\n"
+        for rid, label, row in zip(table.ids, table.labels, table.values.tolist())
+    ]
+    return "".join(lines)
 
 
 def _reads_as_float(token: str) -> bool:
@@ -262,7 +270,11 @@ def _reads_as_float(token: str) -> bool:
 
 
 def _first_bad_row(rows: io.StringIO, names: tuple[str, ...]) -> str | None:
-    """Name the first row loadtxt rejects; data rows count from 1, blank lines skipped."""
+    """Name the first row loadtxt rejects; data rows count from 1, blank lines skipped.
+
+    A row that ``csv`` cannot split has no id to name, so it is reported by number only.
+    """
+    number = 0
     try:
         for number, row in enumerate(filter(None, csv.reader(rows)), start=1):
             where = f"row {row[0]!r} (data row {number})"
@@ -271,8 +283,9 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...]) -> str | None:
             for name, token in zip(names, row[2:]):
                 if not _reads_as_float(token):
                     return f"{where}: cannot read {token!r} as a number for {name!r}"
-    except csv.Error:
-        pass
+    except csv.Error as exc:
+        reason = str(exc).partition(" - ")[0]
+        return f"row <unreadable> (data row {number + 1}): {reason}"
     return None
 
 

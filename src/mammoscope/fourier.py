@@ -4,11 +4,14 @@ Convention: negative exponent, no normalization on the forward transform,
 
     F(k, l) = sum_i sum_j f(i, j) * exp(-i 2 pi (k i / N + l j / N)),
 
-so the DC entry F(0, 0) equals the plain pixel sum. ``fft2d`` evaluates
-this with ``numpy.fft.fft2`` after zero-padding the input at the bottom
-and right to the smallest enclosing power-of-two square; ``dft2d_direct``
-evaluates the quartic-time sum literally and exists to cross-check the
-fast path.
+so the DC entry F(0, 0) equals the plain pixel sum. The input is real, so
+F(-k, -l) = conj F(k, l) and the columns l = 0 .. N//2 determine the rest.
+``Spectrum`` stores only that half plane, in ``numpy.fft.rfft2``'s layout.
+``fft2d`` evaluates it with ``rfft2`` after zero-padding the input at the
+bottom and right to the smallest enclosing power-of-two square;
+``dft2d_direct`` evaluates the quartic-time sum literally and exists to
+cross-check the fast path. ``log_magnitude`` fills the centred map's
+other half from |F(-k, -l)| = |F(k, l)|.
 """
 
 from __future__ import annotations
@@ -20,25 +23,35 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex transform values on an N x N grid (N a power of two for fft2d)."""
+    """Half plane of a real input's transform: ``half[k, l] = F(k, l)`` for
+    0 <= l <= N//2, an N x (N//2 + 1) array (N a power of two for fft2d)."""
 
-    values: np.ndarray
+    half: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self.half.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The full N x N grid, rebuilt by conjugate symmetry."""
+        n = self.size
+        # F(k, l) = conj F(-k mod n, n - l) for the columns l = N//2 + 1 .. n-1
+        rest = np.conj(self.half[-np.arange(n) % n, n - self.half.shape[1] : 0 : -1])
+        return np.concatenate([self.half, rest], axis=1)
 
 
 def dft2d_direct(matrix) -> Spectrum:
-    """Literal double-sum evaluation over a square matrix. Oracle scale only."""
+    """Literal double-sum evaluation of the half plane of a square matrix. Oracle scale only."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("dft2d_direct expects a square matrix")
     n = m.shape[0]
     unit_roots = np.exp(-2j * np.pi * np.arange(n) / n)
-    values = np.empty((n, n), dtype=np.complex128)
+    cols = n // 2 + 1
+    values = np.empty((n, cols), dtype=np.complex128)
     for k in range(n):
-        for l in range(n):
+        for l in range(cols):
             acc = 0.0 + 0.0j
             for i in range(n):
                 for j in range(n):
@@ -58,15 +71,31 @@ def fft2d(matrix) -> Spectrum:
     """Fast transform of any real matrix, zero-padded to a power-of-two square."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     n = _next_pow2(max(*m.shape, 1))
-    return Spectrum(np.fft.fft2(m, s=(n, n)))
+    return Spectrum(np.fft.rfft2(m, s=(n, n)))
 
 
 def log_magnitude(spectrum: Spectrum) -> np.ndarray:
     """Element-wise log(1 + |F|), quadrant-swapped so DC sits at the center.
 
     Centering makes the map comparable across images regardless of where
-    energy falls; log1p keeps zero bins finite.
+    energy falls; log1p keeps zero bins finite. Entry (i, j) of the map is
+    log(1 + |F((i - h) mod n, (j - h) mod n)|) with h = n // 2; columns
+    whose frequency lies outside the half plane are read from the mirrored
+    bin |F(h - i, h - j)|.
     """
-    mag = np.log1p(np.abs(spectrum.values))
+    mag = np.abs(spectrum.half)
+    np.log1p(mag, out=mag)
     n = spectrum.size
-    return np.roll(mag, (n // 2, n // 2), axis=(0, 1))
+    h = n // 2
+    first = 1 - n % 2  # even n: map column 0 holds the half's last column, l = h
+    out = np.empty((n, n))
+    # map columns h .. n-1 are half columns 0 .. n-h-1; rows roll by h
+    out[h:, h:] = mag[: n - h, : n - h]
+    out[:h, h:] = mag[n - h :, : n - h]
+    if first:
+        out[h:, 0] = mag[:h, h]
+        out[:h, 0] = mag[h:, h]
+    # map columns first .. h-1 are half columns h-first .. 1 at rows (h - i) mod n
+    out[: h + 1, first:h] = mag[h::-1, h - first : 0 : -1]
+    out[h + 1 :, first:h] = mag[:h:-1, h - first : 0 : -1]
+    return out

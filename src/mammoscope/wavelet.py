@@ -68,36 +68,34 @@ def get_filter(name: str) -> WaveletFilter:
 
 @dataclass(frozen=True)
 class WaveletDecomposition:
-    """Detail bands per level plus the final approximation band.
-
-    ``level_shapes[k]`` records the (pre-padding) input shape of level k+1
-    so the inverse can strip replicated rows between levels.
-    """
+    """Detail bands per level plus the final approximation band."""
 
     filter: WaveletFilter
     levels: int
     details: tuple[dict[str, np.ndarray], ...]
     approx: np.ndarray
-    level_shapes: tuple[tuple[int, int], ...]
 
 
 def _analyze(values: np.ndarray, filt: WaveletFilter, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.moveaxis(np.asarray(values, dtype=np.float64), axis, -1)
-    n = x.shape[-1]
+    x = np.asarray(values, dtype=np.float64)
+    n = x.shape[axis]
     length = len(filt)
     if n % 2:
         raise OddLengthError(f"extent {n} is odd; pad to even first")
     if n < length:
         raise SignalTooShortError(f"extent {n} shorter than filter length {length}")
-    # periodic extension: ext[..., j:j+n:2] holds s[(2k + j) mod n] for every k
-    ext = np.concatenate([x, x[..., : length - 1]], axis=-1)
-    approx = np.zeros(x.shape[:-1] + (n // 2,))
+    # periodic extension along axis: taps j, j+2, .. j+n-2 hold s[(2k + j) mod n] for every k
+    ext = np.concatenate([x, np.take(x, range(length - 1), axis=axis)], axis=axis)
+    shape = list(x.shape)
+    shape[axis] = n // 2
+    approx = np.zeros(shape)
     detail = np.zeros_like(approx)
+    lead = (slice(None),) * axis
     for j in range(length):
-        tap = ext[..., j : j + n : 2]
+        tap = ext[lead + (slice(j, j + n, 2),)]
         approx += filt.lowpass[j] * tap
         detail += filt.highpass[j] * tap
-    return np.moveaxis(approx, -1, axis), np.moveaxis(detail, -1, axis)
+    return approx, detail
 
 
 def _synthesize(
@@ -197,15 +195,13 @@ def dwt2d(matrix, filt: WaveletFilter, levels: int) -> WaveletDecomposition:
         w //= 2
 
     details: list[dict[str, np.ndarray]] = []
-    shapes: list[tuple[int, int]] = []
     current = m
     for _ in range(levels):
-        shapes.append(current.shape)
         current, _ = pad_even(current)
         ll, hl, lh, hh = dwt2d_level(current, filt)
         details.append({"HL": hl, "LH": lh, "HH": hh})
         current = ll
-    return WaveletDecomposition(filt, levels, tuple(details), current, tuple(shapes))
+    return WaveletDecomposition(filt, levels, tuple(details), current)
 
 
 def idwt2d(decomp: WaveletDecomposition) -> np.ndarray:

@@ -141,6 +141,18 @@ class TestExtractCommand:
         err = capsys.readouterr().err
         assert f"cannot read manifest {manifest}" in err and "Traceback" not in err
 
+    def test_manifest_field_over_csv_limit_is_exit_2(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"path,label\n{'a' * (csv.field_size_limit() + 1)}.pgm,normal\n")
+        feats = tmp_path / "f.csv"
+        assert run(["extract", "--config", cfg, "--manifest", str(manifest),
+                    "--out", str(feats)]) == 2
+        assert not feats.exists()
+        err = capsys.readouterr().err
+        assert f"cannot parse manifest {manifest}: field larger than field limit" in err
+        assert "Traceback" not in err
+
     def test_jobs_flag_matches_serial(self, workdir):
         tmp_path, cfg = workdir
         out = tmp_path / "images"

@@ -416,6 +416,36 @@ def random_csv(seed):
     return buf.getvalue()
 
 
+def reference_table_to_csv(table):
+    """Every field through one csv.writer: the form table_to_csv reproduces byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "label") + table.names)
+    for rid, label, row in zip(table.ids, table.labels, table.values.tolist()):
+        writer.writerow([rid, label, *map(repr, row)])
+    return buf.getvalue()
+
+
+class TestCsvWrite:
+    @settings(deadline=None)
+    @given(table=tables())
+    def test_matches_csv_writer_reference(self, table):
+        assert table_to_csv(table) == reference_table_to_csv(table)
+
+    @pytest.mark.parametrize("n_features", [0, 1, 3])
+    def test_awkward_ids_match_reference(self, n_features):
+        ids = AWKWARD_IDS + ["cr\rid", "crlf\r\nid", '"', '""', ",", "\n", "tab\tid"]
+        rng = np.random.default_rng(n_features)
+        shape = (len(ids), n_features)
+        table = FeatureTable(
+            tuple(f"f,{j}" for j in range(n_features)),
+            tuple(ids),
+            tuple(("normal", "suspicious")[i % 2] for i in range(len(ids))),
+            rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape),
+        )
+        assert table_to_csv(table) == reference_table_to_csv(table)
+
+
 class TestCsvParse:
     @settings(deadline=None)
     @given(table=tables())
@@ -478,6 +508,22 @@ class TestCsvParse:
         with pytest.raises(ValueError) as info:
             table_from_csv(f"id,label,a,b\r\n\r\n{row}\r\nz,normal,3,4\r\n")
         assert str(info.value).startswith("row 'y' (data row 1): ")
+
+    @pytest.mark.parametrize(
+        "text, number",
+        [
+            ("id,label,a\r\nx,normal,1\r\ry,normal,2\r\n", 1),
+            ("id,label,a\n\nx,normal,1\n\n\ny,normal,2\rz,normal,3\n", 2),
+            ("id,label,a\nx,normal,1\ny,normal,2\nz,normal,3\r4\n", 3),
+        ],
+        ids=["first-row", "after-blank-lines", "last-row"],
+    )
+    def test_row_csv_cannot_split_is_named_by_number(self, text, number):
+        with pytest.raises(ValueError) as info:
+            table_from_csv(text)
+        assert str(info.value) == (
+            f"row <unreadable> (data row {number}): new-line character seen in unquoted field"
+        )
 
     @pytest.mark.parametrize("seed", range(24))
     def test_error_names_the_corrupted_row(self, seed):

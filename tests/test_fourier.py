@@ -112,7 +112,7 @@ class TestFft:
 
 class TestLogMagnitude:
     def test_zero_spectrum(self):
-        out = log_magnitude(Spectrum(np.zeros((4, 4), dtype=complex)))
+        out = log_magnitude(Spectrum(np.zeros((4, 3), dtype=complex)))
         assert not out.any()
 
     def test_constant_image_single_center_peak(self):
@@ -127,3 +127,43 @@ class TestLogMagnitude:
         out = log_magnitude(fft2d(m))
         reflected = np.roll(out[::-1, ::-1], (1, 1), axis=(0, 1))
         np.testing.assert_allclose(out, reflected, atol=1e-9)
+
+
+def reference_log_magnitude(m, n):
+    """The full-plane form: log1p|fft2| of the zero-padded input, rolled so DC is central."""
+    return np.roll(np.log1p(np.abs(np.fft.fft2(m, s=(n, n)))), (n // 2, n // 2), (0, 1))
+
+
+DIFFERENTIAL_CASES = [(1, 1), (2, 2), (3, 5), (5, 7), (33, 20)] + [
+    (size, size) for size in (3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 63, 64)
+]
+
+
+class TestHalfPlane:
+    """The half-plane spectrum and the map built from it against numpy's full fft2."""
+
+    @pytest.mark.parametrize("shape", DIFFERENTIAL_CASES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_values_match_full_fft2(self, shape):
+        m = np.random.default_rng(shape[0] * 100 + shape[1]).standard_normal(shape)
+        spec = fft2d(m)
+        n = spec.size
+        assert spec.half.shape == (n, n // 2 + 1)
+        assert max_relative_error(spec.values, np.fft.fft2(m, s=(n, n))) <= 1e-12
+
+    @pytest.mark.parametrize("shape", DIFFERENTIAL_CASES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_log_magnitude_matches_full_plane_roll(self, shape):
+        m = np.random.default_rng(shape[0] * 100 + shape[1] + 1).random(shape)
+        spec = fft2d(m)
+        want = reference_log_magnitude(m, spec.size)
+        got = log_magnitude(spec)
+        assert got.shape == want.shape
+        assert max_relative_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_log_magnitude_of_direct_spectrum_any_size(self, n):
+        # dft2d_direct accepts odd sizes, so the map must not assume a power of two
+        m = np.random.default_rng(n).standard_normal((n, n))
+        spec = dft2d_direct(m)
+        assert spec.half.shape == (n, n // 2 + 1)
+        assert max_relative_error(spec.values, np.fft.fft2(m)) <= 1e-12
+        assert max_relative_error(log_magnitude(spec), reference_log_magnitude(m, n)) <= 1e-12
