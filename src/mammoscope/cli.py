@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import bayes, evaluation, phantom
 from .config import PipelineConfig, load_config
-from .errors import DegenerateLabelsError, MammoscopeError
+from .errors import MammoscopeError
 from .evaluation import run_cross_validation
 from .features import (
     LABELS,
@@ -188,10 +188,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     table = _load_table(args.features)
-    try:
-        result = run_cross_validation(table, cfg)
-    except DegenerateLabelsError as exc:
-        raise MammoscopeError(str(exc)) from None
+    result = run_cross_validation(table, cfg)
 
     if args.roc_csv:
         _write_output(args.roc_csv, evaluation.roc_to_csv(result.curve).encode("ascii"))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     NoPositivesError,
     TooFewRowsError,
 )
-from .features import LABELS, NORMAL, SUSPICIOUS, FeatureTable, select_features
+from .features import LABELS, SUSPICIOUS, FeatureTable, select_features, suspicious_mask
 from .rng import Rng
 
 
@@ -43,29 +42,24 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def _check_labels(labels) -> None:
-    for label in labels:
-        if label not in LABELS:
-            raise ValueError(f"unknown label {label!r}")
+def _tally(called: np.ndarray, positive: np.ndarray) -> ConfusionMatrix:
+    """The four outcomes of boolean calls against boolean truth (True = suspicious)."""
+    return ConfusionMatrix(
+        tp=int(np.count_nonzero(called & positive)),
+        fp=int(np.count_nonzero(called & ~positive)),
+        tn=int(np.count_nonzero(~called & ~positive)),
+        fn=int(np.count_nonzero(~called & positive)),
+    )
 
 
 def confusion(pred, truth) -> ConfusionMatrix:
     """Count the four outcomes of a binary screen (suspicious = positive)."""
-    pred = list(pred)
-    truth = list(truth)
-    if len(pred) != len(truth):
-        raise LengthMismatchError(f"{len(pred)} predictions vs {len(truth)} truths")
-    if not pred:
+    called, positive = suspicious_mask(pred), suspicious_mask(truth)
+    if len(called) != len(positive):
+        raise LengthMismatchError(f"{len(called)} predictions vs {len(positive)} truths")
+    if not len(called):
         raise EmptyInputError("no cases to tally")
-    _check_labels(pred)
-    _check_labels(truth)
-    counts = Counter(zip(truth, pred))
-    return ConfusionMatrix(
-        tp=counts[SUSPICIOUS, SUSPICIOUS],
-        fp=counts[NORMAL, SUSPICIOUS],
-        tn=counts[NORMAL, NORMAL],
-        fn=counts[SUSPICIOUS, NORMAL],
-    )
+    return _tally(called, positive)
 
 
 def sensitivity(cm: ConfusionMatrix) -> float:
@@ -105,13 +99,11 @@ def roc(scores, truth) -> RocCurve:
     so the curve is anchored at (0, 0); the lowest score anchors (1, 1).
     """
     scores = np.array(scores, dtype=np.float64)
-    truth = list(truth)
-    if len(scores) != len(truth):
-        raise LengthMismatchError(f"{len(scores)} scores vs {len(truth)} truths")
-    _check_labels(truth)
-    positive = np.array(truth, dtype=str) == SUSPICIOUS
-    n_pos = int(positive.sum())
-    n_neg = len(truth) - n_pos
+    positive = suspicious_mask(truth)
+    if len(scores) != len(positive):
+        raise LengthMismatchError(f"{len(scores)} scores vs {len(positive)} truths")
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("ROC needs at least one case of each class")
 
@@ -135,20 +127,16 @@ def kfold_indices(table: FeatureTable, k: int, seed: int) -> list[tuple[list[int
     if k < 2:
         raise ValueError("k must be >= 2")
     rng = Rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold = np.empty(table.n_rows, dtype=np.intp)
     for label in LABELS:
-        indices = [i for i, lab in enumerate(table.labels) if lab == label]
+        indices = np.flatnonzero(table.suspicious == (label == SUSPICIOUS)).tolist()
         if len(indices) < k:
             raise TooFewRowsError(f"class {label!r} has {len(indices)} rows, needs >= {k}")
         rng.shuffle(indices)
-        for position, row in enumerate(indices):
-            folds[position % k].append(row)
-    splits = []
-    for f in range(k):
-        test = sorted(folds[f])
-        train = sorted(row for g in range(k) if g != f for row in folds[g])
-        splits.append((train, test))
-    return splits
+        fold[indices] = np.arange(len(indices)) % k
+    return [
+        (np.flatnonzero(fold != f).tolist(), np.flatnonzero(fold == f).tolist()) for f in range(k)
+    ]
 
 
 @dataclass(frozen=True)
@@ -178,17 +166,16 @@ def run_cross_validation(table: FeatureTable, cfg: PipelineConfig) -> CvResult:
             test_values = test_values[:, [table.names.index(n) for n in train_table.names]]
         pooled[test_rows] = bayes.scores(bayes.train(train_table), test_values)
 
-    truth = tuple(table.labels)
-    scores = tuple(pooled.tolist())
-    matrix = confusion(bayes.decide(pooled, cfg.classifier_threshold).tolist(), truth)
+    called = suspicious_mask(bayes.decide(pooled, cfg.classifier_threshold))
+    matrix = _tally(called, table.suspicious)
     return CvResult(
         tuple(table.ids),
-        truth,
-        scores,
+        tuple(table.labels),
+        tuple(pooled.tolist()),
         matrix,
         sensitivity(matrix),
         specificity(matrix),
-        roc(scores, truth),
+        roc(pooled, table.labels),
     )
 
 

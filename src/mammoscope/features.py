@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,18 @@ SUSPICIOUS = "suspicious"
 LABELS = (NORMAL, SUSPICIOUS)
 
 DEGENERATE_STD = 1e-12
+
+
+def suspicious_mask(labels, ids=None) -> np.ndarray:
+    """True where a label is exactly ``suspicious``; ValueError names one that is neither."""
+    named = np.fromiter(labels, dtype=object)
+    suspicious = named == SUSPICIOUS
+    unknown = np.flatnonzero(~suspicious & (named != NORMAL))
+    if len(unknown):
+        i = unknown[0]
+        where = "" if ids is None else f"row {ids[i]!r} (data row {i + 1}): "
+        raise ValueError(f"{where}unknown label {named[i]!r}")
+    return suspicious
 
 
 def _as_map(values) -> np.ndarray:
@@ -191,14 +204,13 @@ class FeatureTable:
     ids: tuple[str, ...]
     labels: tuple[str, ...]
     values: np.ndarray  # shape (n_rows, n_features)
+    suspicious: np.ndarray = field(init=False, repr=False, compare=False)  # per row
 
     def __post_init__(self):
         rows = len(self.ids)
         if len(self.labels) != rows or self.values.shape != (rows, len(self.names)):
             raise ValueError("inconsistent table dimensions")
-        for number, (rid, label) in enumerate(zip(self.ids, self.labels), start=1):
-            if label not in LABELS:
-                raise ValueError(f"row {rid!r} (data row {number}): unknown label {label!r}")
+        object.__setattr__(self, "suspicious", suspicious_mask(self.labels, self.ids))
 
     @property
     def n_rows(self) -> int:
@@ -222,7 +234,7 @@ class FeatureTable:
         return FeatureTable(tuple(wanted), self.ids, self.labels, self.values[:, cols])
 
     def class_values(self, label: str) -> np.ndarray:
-        return self.values[np.array(self.labels, dtype=str) == label]
+        return self.values[self.suspicious == suspicious_mask((label,))[0]]
 
 
 def table_from_rows(rows) -> FeatureTable:
@@ -289,6 +301,18 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...]) -> str | None:
     return None
 
 
+# One quoted field as csv and np.loadtxt read it: an opening quote, which must start the
+# field (the lookbehind turns down a quote after anything but a comma or line break; that
+# quote is literal), the text with its doubled quotes, and the closing quote, which is
+# missing only when the text ends first.
+_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]+|"")*("?)')
+
+
+def _ends_inside_quotes(text: str) -> bool:
+    """Whether a quoted field is still open at the end of the text."""
+    return '"' in text and not all(quoted.group(1) for quoted in _QUOTED_FIELD.finditer(text))
+
+
 def table_from_csv(text: str) -> FeatureTable:
     """Parse the header with ``csv``, then every row in one ``np.loadtxt`` pass.
 
@@ -323,6 +347,8 @@ def table_from_csv(text: str) -> FeatureTable:
     if not len(rows):
         raise ValueError("feature CSV has no rows")
     ids = tuple(rows["id"].tolist())
+    if _ends_inside_quotes(text):  # loadtxt closes a quote left open at the end of the text
+        raise ValueError(f"row {ids[-1]!r} (data row {len(ids)}): quoted field never closes")
     values = np.ascontiguousarray(rows["v"])
     finite = np.isfinite(values)
     if not finite.all():
@@ -341,8 +367,8 @@ def select_features(table: FeatureTable, k: int) -> list[str]:
     n_features = len(table.names)
     if not 1 <= k <= n_features:
         raise BadKError(f"k={k} outside 1..{n_features}")
-    pos = table.class_values(SUSPICIOUS)
-    neg = table.class_values(NORMAL)
+    pos = table.values[table.suspicious]
+    neg = table.values[~table.suspicious]
     if len(pos) < 2 or len(neg) < 2:
         raise InsufficientDataError("need at least 2 rows per class to rank features")
     score = (pos.mean(axis=0) - neg.mean(axis=0)) ** 2 / (

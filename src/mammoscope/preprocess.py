@@ -71,13 +71,9 @@ def largest_component(mask: BinaryMask) -> BinaryMask:
     labels, _ = ndimage.label(bits, structure=_FOUR_CONNECTED)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
-    candidates = np.flatnonzero(sizes == sizes.max())
-    if len(candidates) == 1:
-        keep = candidates[0]
-    else:
-        flat = labels.ravel()
-        keep = min(candidates, key=lambda lab: int(np.flatnonzero(flat == lab)[0]))
-    return BinaryMask(labels == keep)
+    # labels are numbered in row-major order of each component's first pixel,
+    # so argmax, which takes the first of equal maxima, is the tie-break above
+    return BinaryMask(labels == np.argmax(sizes))
 
 
 def apply_mask(img: GrayImage, mask: BinaryMask) -> GrayImage:

@@ -181,23 +181,14 @@ def dwt2d(matrix, filt: WaveletFilter, levels: int) -> WaveletDecomposition:
     if m.ndim != 2:
         raise ValueError("dwt2d expects a 2-D matrix")
 
-    h, w = m.shape
-    length = len(filt)
-    for _ in range(levels):
-        h += h % 2
-        w += w % 2
-        if min(h, w) < length:
-            raise TooManyLevelsError(
-                f"{levels} levels exhaust a {matrix.shape[0]}x{matrix.shape[1]} "
-                f"input for filter {filt.name}"
-            )
-        h //= 2
-        w //= 2
-
     details: list[dict[str, np.ndarray]] = []
     current = m
     for _ in range(levels):
         current, _ = pad_even(current)
+        if min(current.shape) < len(filt):
+            raise TooManyLevelsError(
+                f"{levels} levels exhaust a {m.shape[0]}x{m.shape[1]} input for filter {filt.name}"
+            )
         ll, hl, lh, hh = dwt2d_level(current, filt)
         details.append({"HL": hl, "LH": lh, "HH": hh})
         current = ll

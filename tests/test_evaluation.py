@@ -36,6 +36,7 @@ from mammoscope.evaluation import (
     specificity,
 )
 from mammoscope.features import FeatureVector, select_features, table_from_rows
+from mammoscope.rng import Rng
 
 N, S = "normal", "suspicious"
 
@@ -77,6 +78,13 @@ class TestConfusion:
             confusion([], [])
         with pytest.raises(ValueError):
             confusion(["bad"], [S])
+
+    @pytest.mark.parametrize("label", ["suspicious\x00", "normal ", "Suspicious"])
+    def test_near_miss_label_rejected(self, label):
+        with pytest.raises(ValueError, match="unknown label"):
+            confusion([S, label], [S, N])
+        with pytest.raises(ValueError, match="unknown label"):
+            confusion([S, N], [label, N])
 
 
 class TestRates:
@@ -188,6 +196,11 @@ class TestRoc:
         with pytest.raises(DegenerateLabelsError):
             roc([0.1, 0.2], [S, S])
 
+    @pytest.mark.parametrize("label", ["suspicious\x00", "normal ", "Suspicious"])
+    def test_near_miss_label_rejected(self, label):
+        with pytest.raises(ValueError, match="unknown label"):
+            roc([0.9, 0.1, 0.5], [S, N, label])
+
     def test_auc_recomputes_from_points(self):
         curve = roc([0.9, 0.4, 0.6, 0.1], [S, N, S, N])
         area = sum(
@@ -242,6 +255,36 @@ class TestKfold:
         for labels in self.fold_labels(self.table(11, 7), 3, seed=1):
             assert labels.count(N) in (3, 4)
             assert labels.count(S) in (2, 3)
+
+    @staticmethod
+    def reference_splits(labels, k, seed):
+        """The list-of-folds construction: deal each shuffled class round-robin, then sort."""
+        rng = Rng(seed)
+        folds = [[] for _ in range(k)]
+        for label in (N, S):
+            indices = [i for i, lab in enumerate(labels) if lab == label]
+            rng.shuffle(indices)
+            for position, row in enumerate(indices):
+                folds[position % k].append(row)
+        return [
+            (sorted(row for g in range(k) if g != f for row in folds[g]), sorted(folds[f]))
+            for f in range(k)
+        ]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_list_of_folds_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_normal, n_susp = (int(n) for n in rng.integers(7, 40, size=2))
+        labels = [N] * n_normal + [S] * n_susp
+        rng.shuffle(labels)
+        table = table_from_rows(
+            (f"r{i}", label, FeatureVector(("f",), np.array([float(i)])))
+            for i, label in enumerate(labels)
+        )
+        for k in range(2, 8):
+            splits = kfold_indices(table, k, seed)
+            assert splits == self.reference_splits(labels, k, seed)
+            assert all(type(row) is int for train, test in splits for row in train + test)
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRowsError):
@@ -309,6 +352,19 @@ class TestCrossValidation:
         pred = [S if s >= cfg.classifier_threshold else N for s in expected]
         assert result.matrix == confusion(pred, table.labels)
         assert result.curve == roc(expected, table.labels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matrix_at_a_threshold_equal_to_a_score(self, seed):
+        """The pooled tally calls a score equal to the threshold suspicious, as decide does."""
+        table = self.table(seed)
+        cfg = replace(PipelineConfig(), cv_folds=4, cv_seed=seed)
+        scores = run_cross_validation(table, cfg).scores
+        inner = sorted(s for s in scores if 0.0 < s < 1.0)
+        t = inner[len(inner) // 2]
+        result = run_cross_validation(table, replace(cfg, classifier_threshold=t))
+        assert result.scores == scores
+        assert result.matrix == confusion(bayes.decide(np.array(scores), t), table.labels)
+        assert result.matrix.tp + result.matrix.fp == sum(s >= t for s in scores)
 
 
 class TestPredictionsCsv:

@@ -21,6 +21,7 @@ from mammoscope.features import (
     FeatureConfig,
     FeatureTable,
     FeatureVector,
+    _ends_inside_quotes,
     _reads_as_float,
     cross_correlation,
     extract_features,
@@ -29,6 +30,7 @@ from mammoscope.features import (
     select_features,
     skewness,
     stddev,
+    suspicious_mask,
     table_from_csv,
     table_from_rows,
     table_to_csv,
@@ -332,6 +334,21 @@ class TestFeatureTable:
         with pytest.raises(ValueError):
             table_from_rows([("x", "benign", vec)])
 
+    @pytest.mark.parametrize("label", ["suspicious\x00", "normal ", "Suspicious"])
+    def test_near_miss_label_rejected(self, label):
+        """Labels compare exactly: a NUL, a space or a capital is no label."""
+        with pytest.raises(ValueError) as info:
+            FeatureTable(("a",), ("x", "y"), ("normal", label), np.zeros((2, 1)))
+        assert str(info.value) == f"row 'y' (data row 2): unknown label {label!r}"
+
+    def test_suspicious_mask_matches_labels(self):
+        table = small_table()
+        assert table.suspicious.tolist() == [label == "suspicious" for label in table.labels]
+        assert suspicious_mask(table.labels).tolist() == table.suspicious.tolist()
+        assert np.array_equal(table.class_values("normal"), table.values[:3])
+        assert np.array_equal(table.class_values("suspicious"), table.values[3:])
+        assert table.subset([4, 0]).suspicious.tolist() == [True, False]
+
 
 def reference_table_from_csv(text):
     """Row-at-a-time oracle: ``csv.reader``, blank rows skipped, ``float()`` per value."""
@@ -475,9 +492,12 @@ class TestCsvParse:
             'id,label,"a\nb",c\nx,normal,1,2\n',
             "id,label\nx,normal\ny,suspicious\n",
             "id,label,a\nx,normal,1",
+            'id,label,a\na"b,normal,1\nc"",normal,2\n',
+            'id,label,a\n"a\nb,",normal,1\n"x""",normal,"2"',
+            'id,label,a\nx,normal,1\n"y,""z""",normal,"2"\n',
         ],
         ids=["crlf", "blank-lines", "hash-ids", "quoted-newline-header", "no-features",
-             "no-final-newline"],
+             "no-final-newline", "mid-field-quotes", "closed-quotes-at-end", "quoted-last-id"],
     )
     def test_accepted(self, text):
         assert_same_table(table_from_csv(text), *reference_table_from_csv(text))
@@ -508,6 +528,25 @@ class TestCsvParse:
         with pytest.raises(ValueError) as info:
             table_from_csv(f"id,label,a,b\r\n\r\n{row}\r\nz,normal,3,4\r\n")
         assert str(info.value).startswith("row 'y' (data row 1): ")
+
+    @pytest.mark.parametrize(
+        "tail",
+        ['"2\n', '"2', '"\n2\n', '" 2 \n\n\n', '"2\r\n'],
+        ids=["newline", "no-final-newline", "newline-before-value", "blank-lines", "crlf"],
+    )
+    def test_open_quote_at_end_is_rejected(self, tail):
+        """A last row cut inside a quoted field is named, not read as whole."""
+        with pytest.raises(ValueError) as info:
+            table_from_csv(f"id,label,a\nx,normal,1\ny,normal,{tail}")
+        assert str(info.value) == "row 'y' (data row 2): quoted field never closes"
+
+    @settings(deadline=None)
+    @given(text=st.text(st.sampled_from(list('a,"\n')), max_size=16))
+    def test_ends_inside_quotes_matches_csv(self, text):
+        """csv reads the same rows with a closing quote appended only when one is open."""
+        def rows(t):
+            return list(csv.reader(io.StringIO(t)))
+        assert _ends_inside_quotes(text) == (rows(text) == rows(text + '"\n'))
 
     @pytest.mark.parametrize(
         "text, number",

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from mammoscope.errors import DegenerateImageError, DimensionMismatchError
 from mammoscope.imgio import GrayImage
@@ -96,6 +99,28 @@ class TestLargestComponent:
         bits = np.zeros((3, 3), dtype=bool)
         kept = largest_component(BinaryMask(bits))
         assert not kept.bits.any()
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.1, 0.9),
+    )
+    def test_tie_break_matches_first_pixel_rule(self, shape, seed, density):
+        """Among the largest components, keep the one whose first row-major pixel comes first."""
+        bits = np.random.default_rng(seed).random(shape) < density
+        kept = largest_component(BinaryMask(bits))
+        if not bits.any():
+            assert not kept.bits.any()
+            return
+        four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+        labels, _ = ndimage.label(bits, structure=four)
+        sizes = np.bincount(labels.ravel())
+        sizes[0] = 0
+        candidates = np.flatnonzero(sizes == sizes.max())
+        flat = labels.ravel()
+        keep = min(candidates, key=lambda lab: int(np.flatnonzero(flat == lab)[0]))
+        assert np.array_equal(kept.bits, labels == keep)
 
     def test_output_subset_of_input(self):
         rng = np.random.default_rng(9)

@@ -204,6 +204,10 @@ class TestDwt2d:
             dwt2d(np.zeros((4, 4)), get_filter("daub4"), 2)
         # one level on 4x4 daub4 is fine: extent equals the filter length
         dwt2d(np.zeros((4, 4)), get_filter("daub4"), 1)
+        # a nested list is checked like an array, message and all
+        message = "3 levels exhaust a 4x4 input for filter daub4"
+        with pytest.raises(TooManyLevelsError, match=message):
+            dwt2d([[0.0] * 4] * 4, get_filter("daub4"), 3)
 
     def test_haar_depth_unbounded_through_padding(self):
         # edge replication keeps every level at extent >= 2, so a short
