@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import BadKError, EmptyMapError, InsufficientDataError
-from .fourier import fft2d, log_magnitude
+from .fourier import fft2d, half_log_magnitude
 from .imgio import GrayImage
 from .wavelet import DETAIL_BANDS, get_filter, dwt2d
 
@@ -50,26 +50,33 @@ def _as_map(values) -> np.ndarray:
     return a
 
 
-def moments(values) -> tuple[float, float, float, float]:
+def moments(values, twice: slice | None = None) -> tuple[float, float, float, float]:
     """Population (mean, std, skewness, kurtosis) of a map in one pass.
 
-    The map is centred once and the squared deviations are reused for the
-    third and fourth moments. Skewness and kurtosis are 0 for degenerate
-    maps.
+    The map is centred once; its square, cube and fourth power then reuse
+    two buffers. Entries in the last-axis slice ``twice`` count twice, so a
+    half-plane spectrum gives the moments of the full grid it stands for.
+    Skewness and kurtosis are 0 for degenerate maps.
     """
     a = _as_map(values)
-    m = a.mean()
+    n = a.size
+    if twice is None:
+        total = np.sum
+    else:
+        n += a[..., twice].size
+
+        def total(x):
+            return x.sum() + x[..., twice].sum()
+
+    m = total(a) / n
     c = a - m
-    c2 = c * c
-    sigma = np.sqrt(c2.mean())
+    c2 = np.square(c)
+    sigma = np.sqrt(total(c2) / n)
     if sigma <= DEGENERATE_STD:
         return float(m), float(sigma), 0.0, 0.0
-    return (
-        float(m),
-        float(sigma),
-        float((c2 * c).mean() / sigma**3),
-        float((c2 * c2).mean() / sigma**4),
-    )
+    third = total(np.multiply(c2, c, out=c)) / n
+    fourth = total(np.square(c2, out=c2)) / n
+    return float(m), float(sigma), float(third / sigma**3), float(fourth / sigma**4)
 
 
 def mean(values) -> float:
@@ -158,36 +165,39 @@ def extract_features(img: GrayImage, cfg: FeatureConfig = FeatureConfig()) -> Fe
     """Extract the feature vector of one (preprocessed) image.
 
     default8 mode emits, in this fixed order, the four moments of the
-    final-level wavelet LL band and the four moments of the centered
-    log-magnitude spectrum:
+    final-level wavelet LL band and the four moments of the log-magnitude
+    spectrum, taken over the half plane with the mirrored columns counted
+    twice, so only the lowpass wavelet chain runs and no full map is built:
 
         wll_mean, wll_std, wll_skew, wll_kurt,
         fft_mean, fft_std, fft_skew, fft_kurt
 
     extended mode appends the four moments of every detail subband
     (w<band><level>_<stat>, levels inner, bands HL/LH/HH) and the
-    correlation of each final-level subband against the log-magnitude map
-    (xcorr_ll, xcorr_hl, xcorr_lh, xcorr_hh).
+    correlation of each final-level subband against the centred
+    log-magnitude map (xcorr_ll, xcorr_hl, xcorr_lh, xcorr_hh).
     """
     if cfg.mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature mode {cfg.mode!r}")
-    filt = get_filter(cfg.filter)
-    decomp = dwt2d(img.pixels, filt, cfg.levels)
-    spectral_map = log_magnitude(fft2d(img.pixels))
+    extended = cfg.mode == "extended"
+    decomp = dwt2d(img.pixels, get_filter(cfg.filter), cfg.levels, details=extended)
+    spectrum = fft2d(img.pixels)
+    log_half = half_log_magnitude(spectrum)
 
     names: list[str] = []
     values: list[float] = []
 
-    def add_moments(prefix: str, grid: np.ndarray) -> None:
+    def add_moments(prefix: str, grid: np.ndarray, twice: slice | None = None) -> None:
         names.extend(f"{prefix}_{stat}" for stat in _STATS)
-        values.extend(moments(grid))
+        values.extend(moments(grid, twice))
 
     add_moments("wll", decomp.approx)
-    add_moments("fft", spectral_map)
-    if cfg.mode == "extended":
+    add_moments("fft", log_half, spectrum.mirrored)
+    if extended:
         for level, bands in enumerate(decomp.details, start=1):
             for band in DETAIL_BANDS:
                 add_moments(f"w{band.lower()}{level}", bands[band])
+        spectral_map = spectrum.centred(log_half)
         final = {"LL": decomp.approx, **decomp.details[-1]}
         for band in ("LL", "HL", "LH", "HH"):
             names.append(f"xcorr_{band.lower()}")
@@ -204,25 +214,28 @@ class FeatureTable:
     ids: tuple[str, ...]
     labels: tuple[str, ...]
     values: np.ndarray  # shape (n_rows, n_features)
-    suspicious: np.ndarray = field(init=False, repr=False, compare=False)  # per row
+    # per row; derived from the labels unless a table that already checked them passes it
+    suspicious: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         rows = len(self.ids)
         if len(self.labels) != rows or self.values.shape != (rows, len(self.names)):
             raise ValueError("inconsistent table dimensions")
-        object.__setattr__(self, "suspicious", suspicious_mask(self.labels, self.ids))
+        if self.suspicious is None:
+            object.__setattr__(self, "suspicious", suspicious_mask(self.labels, self.ids))
+        elif self.suspicious.shape != (rows,):
+            raise ValueError("inconsistent table dimensions")
 
     @property
     def n_rows(self) -> int:
         return len(self.ids)
 
     def subset(self, indices) -> "FeatureTable":
-        idx = list(indices)
+        idx = np.asarray(indices, dtype=np.intp)
+        ids, labels = np.array((self.ids, self.labels), dtype=object)[:, idx].tolist()
         return FeatureTable(
-            self.names,
-            tuple(self.ids[i] for i in idx),
-            tuple(self.labels[i] for i in idx),
-            self.values[idx, :],
+            self.names, tuple(ids), tuple(labels), self.values[idx],
+            suspicious=self.suspicious[idx],
         )
 
     def select_columns(self, names) -> "FeatureTable":
@@ -231,7 +244,9 @@ class FeatureTable:
         if missing:
             raise ValueError(f"unknown feature names {missing}")
         cols = [self.names.index(n) for n in wanted]
-        return FeatureTable(tuple(wanted), self.ids, self.labels, self.values[:, cols])
+        return FeatureTable(
+            tuple(wanted), self.ids, self.labels, self.values[:, cols], suspicious=self.suspicious
+        )
 
     def class_values(self, label: str) -> np.ndarray:
         return self.values[self.suspicious == suspicious_mask((label,))[0]]
@@ -303,14 +318,32 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...]) -> str | None:
 
 # One quoted field as csv and np.loadtxt read it: an opening quote, which must start the
 # field (the lookbehind turns down a quote after anything but a comma or line break; that
-# quote is literal), the text with its doubled quotes, and the closing quote, which is
-# missing only when the text ends first.
-_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]+|"")*("?)')
+# quote is literal), the text with its doubled quotes, the closing quote, which is missing
+# only when the text ends first, and the character after it unless that ends the field.
+_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]+|"")*("?)([^,\r\n]?)')
 
 
-def _ends_inside_quotes(text: str) -> bool:
-    """Whether a quoted field is still open at the end of the text."""
-    return '"' in text and not all(quoted.group(1) for quoted in _QUOTED_FIELD.finditer(text))
+def _quote_problem(text: str, start: int = 0) -> str | None:
+    """What is wrong with the first quoted field from ``start`` on that never closes or
+    runs on past its closing quote (RFC 4180), or None; csv and np.loadtxt read on past
+    either."""
+    for quoted in _QUOTED_FIELD.finditer(text, start):
+        if not quoted.group(1):
+            return "quoted field never closes"
+        if quoted.group(2):
+            return "text after closing quote"
+    return None
+
+
+def _strict_failure_row(rows: io.StringIO) -> int:
+    """The 1-based data row, blank lines skipped, at which a strict csv reader fails."""
+    number = 0
+    try:
+        for number, _ in enumerate(filter(None, csv.reader(rows, strict=True)), start=1):
+            pass
+    except csv.Error:
+        pass
+    return number + 1
 
 
 def table_from_csv(text: str) -> FeatureTable:
@@ -321,7 +354,7 @@ def table_from_csv(text: str) -> FeatureTable:
     """
     buf = io.StringIO(text)
     try:
-        header = next(csv.reader(buf))
+        header = next(csv.reader(buf, strict=True))
     except StopIteration:
         raise ValueError("empty feature CSV") from None
     except csv.Error as exc:
@@ -347,8 +380,12 @@ def table_from_csv(text: str) -> FeatureTable:
     if not len(rows):
         raise ValueError("feature CSV has no rows")
     ids = tuple(rows["id"].tolist())
-    if _ends_inside_quotes(text):  # loadtxt closes a quote left open at the end of the text
-        raise ValueError(f"row {ids[-1]!r} (data row {len(ids)}): quoted field never closes")
+    problem = '"' in text and _quote_problem(text, body)
+    if problem:
+        buf.seek(body)
+        # strict csv stops at the row the regex flagged; min only guards the index
+        number = min(_strict_failure_row(buf), len(ids))
+        raise ValueError(f"row {ids[number - 1]!r} (data row {number}): {problem}")
     values = np.ascontiguousarray(rows["v"])
     finite = np.isfinite(values)
     if not finite.all():

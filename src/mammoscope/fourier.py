@@ -10,8 +10,9 @@ F(-k, -l) = conj F(k, l) and the columns l = 0 .. N//2 determine the rest.
 ``fft2d`` evaluates it with ``rfft2`` after zero-padding the input at the
 bottom and right to the smallest enclosing power-of-two square;
 ``dft2d_direct`` evaluates the quartic-time sum literally and exists to
-cross-check the fast path. ``log_magnitude`` fills the centred map's
-other half from |F(-k, -l)| = |F(k, l)|.
+cross-check the fast path. ``half_log_magnitude`` gives log(1 + |F|) over
+the half plane; ``log_magnitude`` lays it out as the centred full map,
+filling the other half from |F(-k, -l)| = |F(k, l)|.
 """
 
 from __future__ import annotations
@@ -33,12 +34,41 @@ class Spectrum:
         return self.half.shape[0]
 
     @property
+    def mirrored(self) -> slice:
+        """Half columns 1 .. N - N//2 - 1: each stands for itself and for the
+        full-grid column N - l outside the half plane."""
+        return slice(1, self.size - self.size // 2)
+
+    @property
     def values(self) -> np.ndarray:
         """The full N x N grid, rebuilt by conjugate symmetry."""
         n = self.size
         # F(k, l) = conj F(-k mod n, n - l) for the columns l = N//2 + 1 .. n-1
-        rest = np.conj(self.half[-np.arange(n) % n, n - self.half.shape[1] : 0 : -1])
+        rest = np.conj(self.half[-np.arange(n) % n, self.mirrored][:, ::-1])
         return np.concatenate([self.half, rest], axis=1)
+
+    def centred(self, half_map: np.ndarray) -> np.ndarray:
+        """Lay a map of |F| over the half plane out on the full grid, quadrant-swapped
+        so DC sits at the center.
+
+        Entry (i, j) is half_map's bin ((i - h) mod n, (j - h) mod n) with
+        h = n // 2; columns whose frequency lies outside the half plane are
+        read from the mirrored bin (h - i, h - j), which holds the same |F|.
+        """
+        n = self.size
+        h = n // 2
+        first = 1 - n % 2  # even n: map column 0 holds the half's last column, l = h
+        out = np.empty((n, n))
+        # map columns h .. n-1 are half columns 0 .. n-h-1; rows roll by h
+        out[h:, h:] = half_map[: n - h, : n - h]
+        out[:h, h:] = half_map[n - h :, : n - h]
+        if first:
+            out[h:, 0] = half_map[:h, h]
+            out[:h, 0] = half_map[h:, h]
+        # map columns first .. h-1 are half columns h-first .. 1 at rows (h - i) mod n
+        out[: h + 1, first:h] = half_map[h::-1, h - first : 0 : -1]
+        out[h + 1 :, first:h] = half_map[:h:-1, h - first : 0 : -1]
+        return out
 
 
 def dft2d_direct(matrix) -> Spectrum:
@@ -74,28 +104,21 @@ def fft2d(matrix) -> Spectrum:
     return Spectrum(np.fft.rfft2(m, s=(n, n)))
 
 
-def log_magnitude(spectrum: Spectrum) -> np.ndarray:
-    """Element-wise log(1 + |F|), quadrant-swapped so DC sits at the center.
+def half_log_magnitude(spectrum: Spectrum) -> np.ndarray:
+    """Element-wise log(1 + |F|) over the stored half plane, laid out like ``spectrum.half``.
 
-    Centering makes the map comparable across images regardless of where
-    energy falls; log1p keeps zero bins finite. Entry (i, j) of the map is
-    log(1 + |F((i - h) mod n, (j - h) mod n)|) with h = n // 2; columns
-    whose frequency lies outside the half plane are read from the mirrored
-    bin |F(h - i, h - j)|.
+    log1p keeps zero bins finite. The moments of the full map follow from
+    this block with the ``spectrum.mirrored`` columns counted twice.
     """
     mag = np.abs(spectrum.half)
-    np.log1p(mag, out=mag)
-    n = spectrum.size
-    h = n // 2
-    first = 1 - n % 2  # even n: map column 0 holds the half's last column, l = h
-    out = np.empty((n, n))
-    # map columns h .. n-1 are half columns 0 .. n-h-1; rows roll by h
-    out[h:, h:] = mag[: n - h, : n - h]
-    out[:h, h:] = mag[n - h :, : n - h]
-    if first:
-        out[h:, 0] = mag[:h, h]
-        out[:h, 0] = mag[h:, h]
-    # map columns first .. h-1 are half columns h-first .. 1 at rows (h - i) mod n
-    out[: h + 1, first:h] = mag[h::-1, h - first : 0 : -1]
-    out[h + 1 :, first:h] = mag[:h:-1, h - first : 0 : -1]
-    return out
+    return np.log1p(mag, out=mag)
+
+
+def log_magnitude(spectrum: Spectrum) -> np.ndarray:
+    """Element-wise log(1 + |F|) on the full grid, quadrant-swapped so DC sits at the center.
+
+    Centering makes the map comparable across images regardless of where
+    energy falls; the other half of the grid is filled from the mirrored
+    bins, |F(-k, -l)| = |F(k, l)|.
+    """
+    return spectrum.centred(half_log_magnitude(spectrum))

@@ -24,12 +24,13 @@ MAX_MAXVAL = 65535
 
 @dataclass(frozen=True)
 class RawImage:
-    """Decoded PGM: integer samples in row-major order."""
+    """Decoded PGM: integer samples in row-major order, int64 for P2 and the
+    file's own width (uint8 or uint16) for P5."""
 
     width: int
     height: int
     maxval: int
-    samples: np.ndarray  # 1-D int array, length width * height
+    samples: np.ndarray  # 1-D integer array, length width * height
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,14 @@ def read_pgm(data: bytes) -> RawImage:
             raise TruncatedDataError("negative sample value")
     else:
         # exactly one whitespace byte separates maxval from the binary payload
-        payload = data[pos + 1 :]
-        if maxval > 255:
-            needed = 2 * count
-            if len(payload) < needed:
-                raise TruncatedDataError(f"expected {needed} bytes, got {len(payload)}")
-            samples = np.frombuffer(payload[:needed], dtype=">u2").astype(np.int64)
-        else:
-            if len(payload) < count:
-                raise TruncatedDataError(f"expected {count} bytes, got {len(payload)}")
-            samples = np.frombuffer(payload[:count], dtype=np.uint8).astype(np.int64)
+        start = pos + 1
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        needed = dtype.itemsize * count
+        available = max(len(data) - start, 0)
+        if available < needed:
+            raise TruncatedDataError(f"expected {needed} bytes, got {available}")
+        samples = np.frombuffer(data, dtype, count, start)
+        samples = samples.astype(dtype.newbyteorder("="), copy=False)
 
     if samples.max() > maxval:
         raise SampleOutOfRangeError(
@@ -117,7 +116,9 @@ def read_pgm(data: bytes) -> RawImage:
 
 def to_gray(raw: RawImage) -> GrayImage:
     """Scale samples by 1/maxval into a float raster."""
-    pixels = raw.samples.astype(np.float64).reshape(raw.height, raw.width) / raw.maxval
+    # the float64 quotient converts each sample exactly, then rounds once
+    samples = raw.samples.reshape(raw.height, raw.width)
+    pixels = np.true_divide(samples, raw.maxval, dtype=np.float64)
     return GrayImage(pixels)
 
 

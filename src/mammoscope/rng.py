@@ -60,9 +60,13 @@ class Rng:
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """In-place Fisher-Yates shuffle: swap i with randrange(i + 1) for i = n-1 .. 1.
+
+        Every draw is taken in one block first; only the swaps run in order.
+        """
+        n = len(items)
+        picks = self._raw_block(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
     def _raw_block(self, n: int) -> np.ndarray:

@@ -68,7 +68,8 @@ def get_filter(name: str) -> WaveletFilter:
 
 @dataclass(frozen=True)
 class WaveletDecomposition:
-    """Detail bands per level plus the final approximation band."""
+    """Detail bands per level plus the final approximation band; ``details`` is
+    empty when only the approximation was computed."""
 
     filter: WaveletFilter
     levels: int
@@ -76,10 +77,11 @@ class WaveletDecomposition:
     approx: np.ndarray
 
 
-def _analyze(values: np.ndarray, filt: WaveletFilter, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def _analyze(values: np.ndarray, taps: tuple[np.ndarray, ...], axis: int) -> tuple[np.ndarray, ...]:
+    """Filter along ``axis`` and keep every second sample: one output band per tap array."""
     x = np.asarray(values, dtype=np.float64)
     n = x.shape[axis]
-    length = len(filt)
+    length = len(taps[0])
     if n % 2:
         raise OddLengthError(f"extent {n} is odd; pad to even first")
     if n < length:
@@ -88,14 +90,13 @@ def _analyze(values: np.ndarray, filt: WaveletFilter, axis: int) -> tuple[np.nda
     ext = np.concatenate([x, np.take(x, range(length - 1), axis=axis)], axis=axis)
     shape = list(x.shape)
     shape[axis] = n // 2
-    approx = np.zeros(shape)
-    detail = np.zeros_like(approx)
+    bands = tuple(np.zeros(shape) for _ in taps)
     lead = (slice(None),) * axis
     for j in range(length):
         tap = ext[lead + (slice(j, j + n, 2),)]
-        approx += filt.lowpass[j] * tap
-        detail += filt.highpass[j] * tap
-    return approx, detail
+        for band, coeffs in zip(bands, taps):
+            band += coeffs[j] * tap
+    return bands
 
 
 def _synthesize(
@@ -120,7 +121,7 @@ def dwt1d(signal, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("dwt1d expects a 1-D signal")
-    return _analyze(x, filt, axis=0)
+    return _analyze(x, (filt.lowpass, filt.highpass), axis=0)
 
 
 def idwt1d(approx, detail, filt: WaveletFilter) -> np.ndarray:
@@ -140,9 +141,10 @@ def dwt2d_level(matrix, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray, np
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("dwt2d_level expects a 2-D matrix")
-    low_x, high_x = _analyze(m, filt, axis=1)
-    ll, lh = _analyze(low_x, filt, axis=0)
-    hl, hh = _analyze(high_x, filt, axis=0)
+    pair = (filt.lowpass, filt.highpass)
+    low_x, high_x = _analyze(m, pair, axis=1)
+    ll, lh = _analyze(low_x, pair, axis=0)
+    hl, hh = _analyze(high_x, pair, axis=0)
     return ll, hl, lh, hh
 
 
@@ -168,12 +170,13 @@ def pad_even(matrix) -> tuple[np.ndarray, tuple[int, int]]:
     return m, (h, w)
 
 
-def dwt2d(matrix, filt: WaveletFilter, levels: int) -> WaveletDecomposition:
+def dwt2d(matrix, filt: WaveletFilter, levels: int, details: bool = True) -> WaveletDecomposition:
     """Multi-level decomposition, recursing on the LL band.
 
     Each level pads its input to even extents first; the run is rejected
     with TooManyLevelsError if any level would see an extent shorter than
-    the filter.
+    the filter. With ``details`` False only the lowpass chain runs, rows
+    then columns, and the decomposition carries no detail bands.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -181,7 +184,7 @@ def dwt2d(matrix, filt: WaveletFilter, levels: int) -> WaveletDecomposition:
     if m.ndim != 2:
         raise ValueError("dwt2d expects a 2-D matrix")
 
-    details: list[dict[str, np.ndarray]] = []
+    bands: list[dict[str, np.ndarray]] = []
     current = m
     for _ in range(levels):
         current, _ = pad_even(current)
@@ -189,14 +192,21 @@ def dwt2d(matrix, filt: WaveletFilter, levels: int) -> WaveletDecomposition:
             raise TooManyLevelsError(
                 f"{levels} levels exhaust a {m.shape[0]}x{m.shape[1]} input for filter {filt.name}"
             )
-        ll, hl, lh, hh = dwt2d_level(current, filt)
-        details.append({"HL": hl, "LH": lh, "HH": hh})
-        current = ll
-    return WaveletDecomposition(filt, levels, tuple(details), current)
+        if details:
+            current, hl, lh, hh = dwt2d_level(current, filt)
+            bands.append({"HL": hl, "LH": lh, "HH": hh})
+        else:
+            (low_x,) = _analyze(current, (filt.lowpass,), axis=1)
+            (current,) = _analyze(low_x, (filt.lowpass,), axis=0)
+    return WaveletDecomposition(filt, levels, tuple(bands), current)
 
 
 def idwt2d(decomp: WaveletDecomposition) -> np.ndarray:
     """Invert dwt2d, returning the (top-level padded) input matrix."""
+    if len(decomp.details) != decomp.levels:
+        raise MalformedDecompositionError(
+            f"{len(decomp.details)} detail levels for a {decomp.levels}-level decomposition"
+        )
     current = decomp.approx
     for level in range(decomp.levels, 0, -1):
         bands = decomp.details[level - 1]

@@ -268,10 +268,12 @@ class TestMalformedFeatureCsv:
             (_small_csv_with_row(3, "r3,normal,1_0,2"), "'1_0'"),
             (_small_csv_with_row(3, "r3,suspiciousX,1,2"), "unknown label 'suspiciousX'"),
             (_small_csv() + 'cut,normal,1,"2\n', "row 'cut' (data row 13): quoted field never"),
+            (_small_csv_with_row(3, 'r3,normal,"1"2,2'),
+             "row 'r3' (data row 4): text after closing quote"),
         ],
         ids=["duplicate-name", "header-only", "header-and-blank-lines", "too-many-values",
              "too-few-values", "empty-field", "garbage-token", "digit-separator", "bad-label",
-             "open-quote-at-end"],
+             "open-quote-at-end", "text-after-closing-quote"],
     )
     def test_rejected_with_exit_2_and_nothing_written(
         self, workdir, tmp_path, capsys, command, text, message

@@ -21,12 +21,13 @@ from mammoscope.features import (
     FeatureConfig,
     FeatureTable,
     FeatureVector,
-    _ends_inside_quotes,
+    _quote_problem,
     _reads_as_float,
     cross_correlation,
     extract_features,
     kurtosis,
     mean,
+    moments,
     select_features,
     skewness,
     stddev,
@@ -35,6 +36,7 @@ from mammoscope.features import (
     table_from_rows,
     table_to_csv,
 )
+from mammoscope.fourier import dft2d_direct, fft2d, half_log_magnitude, log_magnitude
 from mammoscope.imgio import GrayImage, read_pgm, to_gray, write_pgm
 from mammoscope.phantom import PhantomConfig, render_image
 from mammoscope.preprocess import PreprocessConfig, preprocess_pipeline
@@ -107,6 +109,83 @@ class TestMoments:
         for fn in (mean, stddev, skewness, kurtosis):
             with pytest.raises(EmptyMapError):
                 fn(np.empty((0,)))
+
+
+def one_buffer_per_power_moments(values):
+    """The fused formula with a fresh temporary per power, each averaged with .mean()."""
+    a = np.asarray(values, dtype=np.float64)
+    m = a.mean()
+    c = a - m
+    c2 = c * c
+    sigma = np.sqrt(c2.mean())
+    if sigma <= 1e-12:
+        return float(m), float(sigma), 0.0, 0.0
+    return (
+        float(m),
+        float(sigma),
+        float((c2 * c).mean() / sigma**3),
+        float((c2 * c2).mean() / sigma**4),
+    )
+
+
+class TestTwoBufferMoments:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (33, 17), (256, 256), (1024, 513)])
+    def test_bit_identical_to_one_buffer_per_power(self, shape):
+        rng = np.random.default_rng(shape[0])
+        for grid in (rng.random(shape), rng.standard_normal(shape) ** 3, np.full(shape, 0.3)):
+            got = moments(grid)
+            want = one_buffer_per_power_moments(grid)
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    def test_input_is_not_modified(self):
+        grid = np.random.default_rng(3).random((9, 5))
+        before = grid.copy()
+        moments(grid, slice(1, 3))
+        assert np.array_equal(grid, before)
+
+    def test_twice_counts_columns_twice(self):
+        grid = np.random.default_rng(4).random((6, 5))
+        doubled = np.concatenate([grid, grid[:, 1:3]], axis=1)
+        assert moments(grid, slice(1, 3)) == pytest.approx(moments(doubled), rel=1e-13)
+
+
+def half_plane_fft_moments(spectrum):
+    return moments(half_log_magnitude(spectrum), spectrum.mirrored)
+
+
+class TestHalfPlaneMoments:
+    """fft moments from the half plane equal those of the centred full map."""
+
+    @pytest.mark.parametrize("n", [2**p for p in range(12)])
+    def test_power_of_two_sizes(self, n):
+        pixels = np.random.default_rng(n).random((n, n))
+        spectrum = fft2d(pixels)
+        assert spectrum.size == n
+        got = half_plane_fft_moments(spectrum)
+        assert got == pytest.approx(moments(log_magnitude(spectrum)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_odd_sizes_from_direct_sum(self, n):
+        spectrum = dft2d_direct(np.random.default_rng(n).standard_normal((n, n)))
+        got = half_plane_fft_moments(spectrum)
+        assert got == pytest.approx(moments(log_magnitude(spectrum)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_constant_image(self, n, c):
+        # all energy at DC: the map is flat apart from one bin, or flat outright
+        spectrum = fft2d(np.full((n, n), c))
+        got = half_plane_fft_moments(spectrum)
+        assert got == pytest.approx(moments(log_magnitude(spectrum)), rel=1e-12, abs=0)
+
+    def test_extract_features_uses_the_half_plane(self):
+        pixels = np.random.default_rng(12).random((40, 24))
+        vec = extract_features(GrayImage(pixels), FeatureConfig(levels=2))
+        spectrum = fft2d(pixels)
+        assert tuple(vec.values[4:]) == half_plane_fft_moments(spectrum)
+        assert tuple(vec.values[4:]) == pytest.approx(
+            moments(log_magnitude(spectrum)), rel=1e-12, abs=0
+        )
 
 
 class TestCrossCorrelation:
@@ -322,6 +401,19 @@ class TestFeatureTable:
         bad = FeatureVector(("a", "c"), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             table_from_rows([("x", "normal", good), ("y", "normal", bad)])
+
+    def test_subset_matches_a_table_built_from_its_rows(self):
+        table = small_table()
+        idx = [3, 0, 0, 2]
+        sub = table.subset(idx)
+        rebuilt = FeatureTable(
+            table.names, tuple(table.ids[i] for i in idx),
+            tuple(table.labels[i] for i in idx), table.values[idx],
+        )
+        assert (sub.names, sub.ids, sub.labels) == (rebuilt.names, rebuilt.ids, rebuilt.labels)
+        assert np.array_equal(sub.values, rebuilt.values)
+        assert np.array_equal(sub.suspicious, rebuilt.suspicious)
+        assert table.subset([]).n_rows == 0
 
     def test_select_columns(self):
         table = small_table()
@@ -540,13 +632,52 @@ class TestCsvParse:
             table_from_csv(f"id,label,a\nx,normal,1\ny,normal,{tail}")
         assert str(info.value) == "row 'y' (data row 2): quoted field never closes"
 
+    @pytest.mark.parametrize(
+        "row",
+        ['y,normal,"1"2', 'y,normal,"1" ', 'y,normal,"1"e3', '"y"z,normal,1'],
+        ids=["digit", "space", "exponent", "in-the-id"],
+    )
+    def test_text_after_closing_quote_is_rejected(self, row):
+        """RFC 4180: a quoted field ends at its closing quote; csv and loadtxt would read on."""
+        for end in ("\n", "\r\n", ""):
+            with pytest.raises(ValueError) as info:
+                table_from_csv(f'id,label,a\nx,normal,"1"\n\n{row}{end}')
+            rid = "yz" if row.startswith('"y"') else "y"
+            assert str(info.value) == f"row {rid!r} (data row 2): text after closing quote"
+
+    @pytest.mark.parametrize("row", ['y,normal,"1"2,3', 'y,normal,"1""2"x'])
+    def test_text_after_closing_quote_in_a_row_loadtxt_rejects(self, row):
+        """Such a row is named by the first reason the row-by-row re-scan finds."""
+        with pytest.raises(ValueError) as info:
+            table_from_csv(f"id,label,a\nx,normal,1\n{row}\n")
+        assert str(info.value).startswith("row 'y' (data row 2): ")
+
+    def test_text_after_closing_quote_names_the_first_such_row(self):
+        text = 'id,label,a\n"a\nb",normal,"1"\nc,normal,"2"2\nd,normal,"3"3\n'
+        with pytest.raises(ValueError, match=re.escape("row 'c' (data row 2): text after")):
+            table_from_csv(text)
+
+    @pytest.mark.parametrize("header", ['id,label,"a"b', 'id,label,"a'])
+    def test_header_quote_errors_are_rejected(self, header):
+        with pytest.raises(ValueError, match="unreadable header"):
+            table_from_csv(f"{header}\nx,normal,1\n")
+
     @settings(deadline=None)
-    @given(text=st.text(st.sampled_from(list('a,"\n')), max_size=16))
-    def test_ends_inside_quotes_matches_csv(self, text):
-        """csv reads the same rows with a closing quote appended only when one is open."""
-        def rows(t):
-            return list(csv.reader(io.StringIO(t)))
-        assert _ends_inside_quotes(text) == (rows(text) == rows(text + '"\n'))
+    @given(text=st.text(st.sampled_from(list('a,"\n ')), max_size=16))
+    def test_quote_problem_matches_strict_csv(self, text):
+        """A quoted field that never closes or runs on past its closing quote is what
+        strict csv turns down, and only that."""
+        try:
+            list(csv.reader(io.StringIO(text), strict=True))
+            error = None
+        except csv.Error as exc:
+            error = str(exc)
+        expected = {
+            None: None,
+            "unexpected end of data": "quoted field never closes",
+            "',' expected after '\"'": "text after closing quote",
+        }
+        assert _quote_problem(text) == expected[error]
 
     @pytest.mark.parametrize(
         "text, number",

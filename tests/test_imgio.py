@@ -54,6 +54,22 @@ class TestReadPgm:
         raw = read_pgm(b"P5\n2 1\n65535\n" + bytes([0x01, 0x00, 0xFF, 0xFF]))
         assert raw.samples.tolist() == [256, 65535]
 
+    @pytest.mark.parametrize("maxval, dtype", [(255, np.uint8), (200, np.uint8),
+                                               (256, np.uint16), (4095, np.uint16),
+                                               (65535, np.uint16)])
+    def test_binary_samples_keep_the_file_width(self, maxval, dtype):
+        samples = np.random.default_rng(maxval).integers(0, maxval + 1, size=6 * 5)
+        raw = RawImage(6, 5, maxval, samples)
+        back = read_pgm(write_pgm(to_gray(raw), maxval=maxval, binary=True))
+        assert back.samples.dtype == dtype
+        assert back.samples.tolist() == samples.tolist()
+        # one exact int-to-float conversion, then one rounding: same bits as via int64
+        want = samples.astype(np.float64).reshape(5, 6) / maxval
+        assert np.array_equal(to_gray(back).pixels.view(np.int64), want.view(np.int64))
+
+    def test_plain_samples_stay_int64(self):
+        assert read_pgm(b"P2\n2 1\n9\n3 9").samples.dtype == np.int64
+
     def test_unsupported_magic(self):
         with pytest.raises(MalformedHeaderError):
             read_pgm(b"P7\n2 2\n255\n0 0 0 0")

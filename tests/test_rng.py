@@ -1,6 +1,7 @@
 """Tests for the deterministic LCG stream."""
 
 import numpy as np
+import pytest
 
 from mammoscope.rng import INCREMENT, MULTIPLIER, Rng
 
@@ -69,3 +70,21 @@ def test_randrange_bounds():
     values = [rng.randrange(7) for _ in range(1000)]
     assert min(values) >= 0 and max(values) < 7
     assert len(set(values)) == 7
+
+
+def per_call_shuffle(rng, items):
+    """Reference: Fisher-Yates with one randrange call per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 20000])
+def test_shuffle_matches_one_draw_per_swap(n):
+    for seed in range(31):
+        fast, slow = Rng(seed), Rng(seed)
+        got, want = list(range(n)), list(range(n))
+        fast.shuffle(got)
+        per_call_shuffle(slow, want)
+        assert got == want
+        assert fast.state == slow.state

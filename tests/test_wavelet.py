@@ -246,6 +246,39 @@ class TestDwt2d:
             idwt2d(broken)
 
 
+class TestLowpassChain:
+    """dwt2d with details=False runs only the lowpass taps along rows, then columns."""
+
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    @pytest.mark.parametrize("shape", [(32, 32), (33, 33), (40, 27), (45, 64)])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_approx_bit_identical_to_full_run(self, name, shape, levels):
+        filt = get_filter(name)
+        m = np.random.default_rng(shape[0] * 10 + levels).standard_normal(shape)
+        m[:3] = -0.0  # sign bits of zero coefficients must agree as well
+        lean = dwt2d(m, filt, levels, details=False)
+        full = dwt2d(m, filt, levels)
+        assert lean.details == ()
+        assert lean.levels == levels
+        assert np.array_equal(lean.approx.view(np.int64), full.approx.view(np.int64))
+
+    def test_too_many_levels(self):
+        with pytest.raises(TooManyLevelsError, match="3 levels exhaust a 4x4 input"):
+            dwt2d(np.zeros((4, 4)), get_filter("daub4"), 3, details=False)
+        dwt2d(np.zeros((4, 4)), get_filter("daub4"), 1, details=False)
+
+    def test_idwt2d_rejects_a_decomposition_without_details(self):
+        lean = dwt2d(np.ones((8, 8)), get_filter("haar"), 2, details=False)
+        with pytest.raises(MalformedDecompositionError, match="0 detail levels"):
+            idwt2d(lean)
+
+    def test_idwt2d_rejects_fewer_detail_levels_than_levels(self):
+        full = dwt2d(np.ones((8, 8)), get_filter("haar"), 2)
+        short = WaveletDecomposition(full.filter, 2, full.details[:1], full.approx)
+        with pytest.raises(MalformedDecompositionError):
+            idwt2d(short)
+
+
 class TestPadEven:
     def test_odd_row_replicated(self):
         m = np.arange(20, dtype=float).reshape(5, 4)
@@ -299,7 +332,8 @@ class TestAxes:
         m[:, :2] = -0.0  # zero coefficients too, whose sign bits must also agree
         rows = [reference_dwt1d(row, filt) for row in m.T]
         loops = (np.array([a for a, _ in rows]), np.array([d for _, d in rows]))
-        for got, want, ref in zip(_analyze(m, filt, 0), _analyze(m.T, filt, 1), loops):
+        pair = (filt.lowpass, filt.highpass)
+        for got, want, ref in zip(_analyze(m, pair, 0), _analyze(m.T, pair, 1), loops):
             assert np.array_equal(got.view(np.int64), want.T.view(np.int64))
             assert np.array_equal(want.view(np.int64), ref.view(np.int64))
             assert got.flags.c_contiguous
