@@ -47,7 +47,7 @@ def train(table: FeatureTable) -> GaussianNbModel:
     max(1e-9 * global feature variance, 1e-12) so single-row classes stay
     usable.
     """
-    per_class = [table.class_values(label) for label in LABELS]
+    per_class = [table.values[~table.suspicious], table.values[table.suspicious]]
     for label, rows in zip(LABELS, per_class):
         if len(rows) == 0:
             raise MissingClassError(f"no rows labeled {label!r}")

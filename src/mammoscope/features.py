@@ -248,9 +248,6 @@ class FeatureTable:
             tuple(wanted), self.ids, self.labels, self.values[:, cols], suspicious=self.suspicious
         )
 
-    def class_values(self, label: str) -> np.ndarray:
-        return self.values[self.suspicious == suspicious_mask((label,))[0]]
-
 
 def table_from_rows(rows) -> FeatureTable:
     """Build a table from (id, label, FeatureVector) triples with matching names."""
@@ -296,10 +293,11 @@ def _reads_as_float(token: str) -> bool:
     return core.isascii() and "_" not in core
 
 
-def _first_bad_row(rows: io.StringIO, names: tuple[str, ...]) -> str | None:
-    """Name the first row loadtxt rejects; data rows count from 1, blank lines skipped.
+def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | None) -> str | None:
+    """Name the first bad row in file order; data rows count from 1, blank lines skipped.
 
-    A row that ``csv`` cannot split has no id to name, so it is reported by number only.
+    A row is bad if loadtxt rejects it or it holds the offset of ``_quote_problem``'s
+    pair. A row that ``csv`` cannot split has no id to name, so it is reported by number.
     """
     number = 0
     try:
@@ -310,6 +308,9 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...]) -> str | None:
             for name, token in zip(names, row[2:]):
                 if not _reads_as_float(token):
                     return f"{where}: cannot read {token!r} as a number for {name!r}"
+            # csv reads a StringIO line by line, so tell() is where this record ends
+            if quote and rows.tell() > quote[0]:
+                return f"{where}: {quote[1]}"
     except csv.Error as exc:
         reason = str(exc).partition(" - ")[0]
         return f"row <unreadable> (data row {number + 1}): {reason}"
@@ -323,34 +324,23 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...]) -> str | None:
 _QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]+|"")*("?)([^,\r\n]?)')
 
 
-def _quote_problem(text: str, start: int = 0) -> str | None:
-    """What is wrong with the first quoted field from ``start`` on that never closes or
-    runs on past its closing quote (RFC 4180), or None; csv and np.loadtxt read on past
-    either."""
+def _quote_problem(text: str, start: int = 0) -> tuple[int, str] | None:
+    """Where the first quoted field from ``start`` on that never closes or runs on
+    past its closing quote (RFC 4180) opens, and what is wrong with it, or None;
+    csv and np.loadtxt read on past either."""
     for quoted in _QUOTED_FIELD.finditer(text, start):
         if not quoted.group(1):
-            return "quoted field never closes"
+            return quoted.start(), "quoted field never closes"
         if quoted.group(2):
-            return "text after closing quote"
+            return quoted.start(), "text after closing quote"
     return None
-
-
-def _strict_failure_row(rows: io.StringIO) -> int:
-    """The 1-based data row, blank lines skipped, at which a strict csv reader fails."""
-    number = 0
-    try:
-        for number, _ in enumerate(filter(None, csv.reader(rows, strict=True)), start=1):
-            pass
-    except csv.Error:
-        pass
-    return number + 1
 
 
 def table_from_csv(text: str) -> FeatureTable:
     """Parse the header with ``csv``, then every row in one ``np.loadtxt`` pass.
 
     Values convert bit-identically to ``float()``; ``1_0``-style separators are rejected.
-    Errors name the row by id and by its 1-based data-row number.
+    Errors name the first bad row in file order by id and by its 1-based data-row number.
     """
     buf = io.StringIO(text)
     try:
@@ -367,6 +357,8 @@ def table_from_csv(text: str) -> FeatureTable:
         raise ValueError(f"duplicate feature names {repeated} in the header")
     row_dtype = np.dtype([("id", object), ("label", object), ("v", np.float64, (len(names),))])
     body = buf.tell()
+    quote = _quote_problem(text, body) if '"' in text else None
+    failure = None
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -374,18 +366,14 @@ def table_from_csv(text: str) -> FeatureTable:
                 buf, dtype=row_dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
             )
     except ValueError as exc:
+        failure = str(exc).partition("; use `usecols`")[0]
+    if failure is not None or quote:
         buf.seek(body)
-        problem = _first_bad_row(buf, names) or str(exc).partition("; use `usecols`")[0]
-        raise ValueError(problem) from None
+        # the row holding a quote problem is always found, so only loadtxt's message is a fallback
+        raise ValueError(_first_bad_row(buf, names, quote) or failure)
     if not len(rows):
         raise ValueError("feature CSV has no rows")
     ids = tuple(rows["id"].tolist())
-    problem = '"' in text and _quote_problem(text, body)
-    if problem:
-        buf.seek(body)
-        # strict csv stops at the row the regex flagged; min only guards the index
-        number = min(_strict_failure_row(buf), len(ids))
-        raise ValueError(f"row {ids[number - 1]!r} (data row {number}): {problem}")
     values = np.ascontiguousarray(rows["v"])
     finite = np.isfinite(values)
     if not finite.all():

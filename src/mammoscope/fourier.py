@@ -10,9 +10,11 @@ F(-k, -l) = conj F(k, l) and the columns l = 0 .. N//2 determine the rest.
 ``fft2d`` evaluates it with ``rfft2`` after zero-padding the input at the
 bottom and right to the smallest enclosing power-of-two square;
 ``dft2d_direct`` evaluates the quartic-time sum literally and exists to
-cross-check the fast path. ``half_log_magnitude`` gives log(1 + |F|) over
-the half plane; ``log_magnitude`` lays it out as the centred full map,
-filling the other half from |F(-k, -l)| = |F(k, l)|.
+cross-check the fast path. ``Spectrum.unfold`` is the one place the other
+half is filled in: ``Spectrum.values`` unfolds F itself, and
+``Spectrum.centred`` unfolds any map over the half plane and fft-shifts it.
+``half_log_magnitude`` gives log(1 + |F|) over the half plane;
+``log_magnitude`` is its centred full map.
 """
 
 from __future__ import annotations
@@ -39,36 +41,21 @@ class Spectrum:
         full-grid column N - l outside the half plane."""
         return slice(1, self.size - self.size // 2)
 
+    def unfold(self, half_map: np.ndarray) -> np.ndarray:
+        """Lay a map over the half plane out on the full N x N grid: the columns
+        l > N//2 read F(k, l) = conj F(-k mod N, N - l); np.conj copies a real map as is."""
+        n = self.size
+        rest = np.conj(half_map[-np.arange(n) % n, self.mirrored][:, ::-1])
+        return np.concatenate([half_map, rest], axis=1)
+
     @property
     def values(self) -> np.ndarray:
         """The full N x N grid, rebuilt by conjugate symmetry."""
-        n = self.size
-        # F(k, l) = conj F(-k mod n, n - l) for the columns l = N//2 + 1 .. n-1
-        rest = np.conj(self.half[-np.arange(n) % n, self.mirrored][:, ::-1])
-        return np.concatenate([self.half, rest], axis=1)
+        return self.unfold(self.half)
 
     def centred(self, half_map: np.ndarray) -> np.ndarray:
-        """Lay a map of |F| over the half plane out on the full grid, quadrant-swapped
-        so DC sits at the center.
-
-        Entry (i, j) is half_map's bin ((i - h) mod n, (j - h) mod n) with
-        h = n // 2; columns whose frequency lies outside the half plane are
-        read from the mirrored bin (h - i, h - j), which holds the same |F|.
-        """
-        n = self.size
-        h = n // 2
-        first = 1 - n % 2  # even n: map column 0 holds the half's last column, l = h
-        out = np.empty((n, n))
-        # map columns h .. n-1 are half columns 0 .. n-h-1; rows roll by h
-        out[h:, h:] = half_map[: n - h, : n - h]
-        out[:h, h:] = half_map[n - h :, : n - h]
-        if first:
-            out[h:, 0] = half_map[:h, h]
-            out[:h, 0] = half_map[h:, h]
-        # map columns first .. h-1 are half columns h-first .. 1 at rows (h - i) mod n
-        out[: h + 1, first:h] = half_map[h::-1, h - first : 0 : -1]
-        out[h + 1 :, first:h] = half_map[:h:-1, h - first : 0 : -1]
-        return out
+        """``unfold(half_map)`` quadrant-swapped so DC sits at the center."""
+        return np.fft.fftshift(self.unfold(half_map))
 
 
 def dft2d_direct(matrix) -> Spectrum:
@@ -90,17 +77,10 @@ def dft2d_direct(matrix) -> Spectrum:
     return Spectrum(values)
 
 
-def _next_pow2(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
-
-
 def fft2d(matrix) -> Spectrum:
     """Fast transform of any real matrix, zero-padded to a power-of-two square."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    n = _next_pow2(max(*m.shape, 1))
+    n = 1 << (max(*m.shape, 1) - 1).bit_length()
     return Spectrum(np.fft.rfft2(m, s=(n, n)))
 
 

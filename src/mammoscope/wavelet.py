@@ -49,8 +49,7 @@ class WaveletFilter:
 
 
 def _quadrature_mirror(lowpass: np.ndarray) -> np.ndarray:
-    length = len(lowpass)
-    return np.array([(-1.0) ** k * lowpass[length - 1 - k] for k in range(length)])
+    return lowpass[::-1] * (-1.0) ** np.arange(len(lowpass))
 
 
 def get_filter(name: str) -> WaveletFilter:

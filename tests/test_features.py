@@ -437,8 +437,6 @@ class TestFeatureTable:
         table = small_table()
         assert table.suspicious.tolist() == [label == "suspicious" for label in table.labels]
         assert suspicious_mask(table.labels).tolist() == table.suspicious.tolist()
-        assert np.array_equal(table.class_values("normal"), table.values[:3])
-        assert np.array_equal(table.class_values("suspicious"), table.values[3:])
         assert table.subset([4, 0]).suspicious.tolist() == [True, False]
 
 
@@ -652,10 +650,23 @@ class TestCsvParse:
             table_from_csv(f"id,label,a\nx,normal,1\n{row}\n")
         assert str(info.value).startswith("row 'y' (data row 2): ")
 
-    def test_text_after_closing_quote_names_the_first_such_row(self):
-        text = 'id,label,a\n"a\nb",normal,"1"\nc,normal,"2"2\nd,normal,"3"3\n'
-        with pytest.raises(ValueError, match=re.escape("row 'c' (data row 2): text after")):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('id,label,a\n"a\nb",normal,"1"\nc,normal,"2"2\nd,normal,"3"3\n',
+             "row 'c' (data row 2): text after closing quote"),
+            ('id,label,a\nx,normal,1\ny,normal,"1"2\nz,normal,3\nw,normal,abc\n',
+             "row 'y' (data row 2): text after closing quote"),
+            ('id,label,a\nx,normal,1\nw,normal,abc\nz,normal,3\ny,normal,"1"2\n',
+             "row 'w' (data row 2): cannot read 'abc' as a number for 'a'"),
+        ],
+        ids=["two-such-rows", "before-a-row-loadtxt-rejects", "after-a-row-loadtxt-rejects"],
+    )
+    def test_text_after_closing_quote_names_the_first_bad_row(self, text, message):
+        """The first bad row in file order is named, whatever is wrong with it."""
+        with pytest.raises(ValueError) as info:
             table_from_csv(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("header", ['id,label,"a"b', 'id,label,"a'])
     def test_header_quote_errors_are_rejected(self, header):
@@ -677,7 +688,39 @@ class TestCsvParse:
             "unexpected end of data": "quoted field never closes",
             "',' expected after '\"'": "text after closing quote",
         }
-        assert _quote_problem(text) == expected[error]
+        offset, reason = _quote_problem(text) or (None, None)
+        assert reason == expected[error]
+        assert offset is None or text[offset] == '"'
+
+    @settings(deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(["y", '"y"', '"y\nz"', '"y"z', '"y']),
+                      st.sampled_from(["1", '"1"', '" 1\n"', '"1"2', '"1" ', '"1', "abc", "1,2"])),
+            min_size=1, max_size=5,
+        ),
+        end=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_quote_error_names_the_row_strict_csv_fails_on(self, rows, end):
+        """No row after the one at which strict csv stops is named, and a quote error
+        names that row."""
+        body = "".join(f"{rid},normal,{value}{end}" for rid, value in rows)
+        strict = enumerate(filter(None, csv.reader(io.StringIO(body), strict=True)), 1)
+        number = 0
+        try:
+            for number, _ in strict:
+                pass
+        except csv.Error:
+            stop = number + 1
+        else:
+            return
+        with pytest.raises(ValueError) as info:
+            table_from_csv(f"id,label,a{end}{body}")
+        message = str(info.value)
+        named = int(re.search(r" \(data row (\d+)\): ", message).group(1))
+        assert named <= stop
+        if message.endswith(("quoted field never closes", "text after closing quote")):
+            assert named == stop
 
     @pytest.mark.parametrize(
         "text, number",
