@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -296,8 +297,9 @@ def _reads_as_float(token: str) -> bool:
 def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | None) -> str | None:
     """Name the first bad row in file order; data rows count from 1, blank lines skipped.
 
-    A row is bad if loadtxt rejects it or it holds the offset of ``_quote_problem``'s
-    pair. A row that ``csv`` cannot split has no id to name, so it is reported by number.
+    A row is bad if loadtxt rejects it, its label is unknown, a value is not finite,
+    or it holds the offset of ``_quote_problem``'s pair. A row that ``csv`` cannot
+    split has no id to name, so it is reported by number.
     """
     number = 0
     try:
@@ -305,9 +307,13 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | Non
             where = f"row {row[0]!r} (data row {number})"
             if len(row) != 2 + len(names):
                 return f"{where}: {len(row)} fields, expected {2 + len(names)}"
+            if row[1] not in LABELS:
+                return f"{where}: unknown label {row[1]!r}"
             for name, token in zip(names, row[2:]):
                 if not _reads_as_float(token):
                     return f"{where}: cannot read {token!r} as a number for {name!r}"
+                if not math.isfinite(float(token)):
+                    return f"{where}: non-finite value for {name!r}"
             # csv reads a StringIO line by line, so tell() is where this record ends
             if quote and rows.tell() > quote[0]:
                 return f"{where}: {quote[1]}"
@@ -365,22 +371,22 @@ def table_from_csv(text: str) -> FeatureTable:
             rows = np.loadtxt(
                 buf, dtype=row_dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
             )
+        labels = tuple(rows["label"].tolist())
+        suspicious = suspicious_mask(labels)
     except ValueError as exc:
         failure = str(exc).partition("; use `usecols`")[0]
+    else:
+        values = np.ascontiguousarray(rows["v"])
+        if not np.isfinite(values).all():
+            failure = "non-finite value"
     if failure is not None or quote:
         buf.seek(body)
-        # the row holding a quote problem is always found, so only loadtxt's message is a fallback
+        # the re-scan finds every problem above in file order, so the message found
+        # without it is only a fallback
         raise ValueError(_first_bad_row(buf, names, quote) or failure)
     if not len(rows):
         raise ValueError("feature CSV has no rows")
-    ids = tuple(rows["id"].tolist())
-    values = np.ascontiguousarray(rows["v"])
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        where = f"row {ids[r]!r} (data row {r + 1})"
-        raise ValueError(f"{where}: non-finite value for {names[c]!r}")
-    return FeatureTable(names, ids, tuple(rows["label"].tolist()), values)
+    return FeatureTable(names, tuple(rows["id"].tolist()), labels, values, suspicious=suspicious)
 
 
 def select_features(table: FeatureTable, k: int) -> list[str]:

@@ -7,12 +7,13 @@ Convention: negative exponent, no normalization on the forward transform,
 so the DC entry F(0, 0) equals the plain pixel sum. The input is real, so
 F(-k, -l) = conj F(k, l) and the columns l = 0 .. N//2 determine the rest.
 ``Spectrum`` stores only that half plane, in ``numpy.fft.rfft2``'s layout.
-``fft2d`` evaluates it with ``rfft2`` after zero-padding the input at the
-bottom and right to the smallest enclosing power-of-two square;
-``dft2d_direct`` evaluates the quartic-time sum literally and exists to
-cross-check the fast path. ``Spectrum.unfold`` is the one place the other
-half is filled in: ``Spectrum.values`` unfolds F itself, and
-``Spectrum.centred`` unfolds any map over the half plane and fft-shifts it.
+``fft2d`` evaluates it with ``scipy.fft``, rows then columns as ``rfft2``
+does, zero-padding the input at the bottom and right to the smallest
+enclosing power-of-two square; ``dft2d_direct`` evaluates the quartic-time
+sum literally and exists to cross-check the fast path. ``Spectrum.unfold``
+is the one place the other half is filled in: ``Spectrum.values`` unfolds
+F itself, and ``Spectrum.centred`` unfolds any map over the half plane and
+fft-shifts it.
 ``half_log_magnitude`` gives log(1 + |F|) over the half plane;
 ``log_magnitude`` is its centred full map.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,9 @@ def fft2d(matrix) -> Spectrum:
     """Fast transform of any real matrix, zero-padded to a power-of-two square."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     n = 1 << (max(*m.shape, 1) - 1).bit_length()
-    return Spectrum(np.fft.rfft2(m, s=(n, n)))
+    # the row pass reads only the unpadded rows; the column pass pads them to N
+    rows = scipy.fft.rfft(m, n=n, axis=1)
+    return Spectrum(scipy.fft.fft(rows, n=n, axis=0, overwrite_x=True))
 
 
 def half_log_magnitude(spectrum: Spectrum) -> np.ndarray:

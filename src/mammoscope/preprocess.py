@@ -65,10 +65,9 @@ def largest_component(mask: BinaryMask) -> BinaryMask:
     get cleared. An empty mask passes through unchanged. Equal-size ties go
     to the component containing the smallest row-major pixel index.
     """
-    bits = mask.bits
-    if not bits.any():
+    labels, count = ndimage.label(mask.bits, structure=_FOUR_CONNECTED)
+    if count < 2:  # an empty mask, or one component: labels == 1 is the mask itself
         return mask
-    labels, _ = ndimage.label(bits, structure=_FOUR_CONNECTED)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     # labels are numbered in row-major order of each component's first pixel,

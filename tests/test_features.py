@@ -659,8 +659,16 @@ class TestCsvParse:
              "row 'y' (data row 2): text after closing quote"),
             ('id,label,a\nx,normal,1\nw,normal,abc\nz,normal,3\ny,normal,"1"2\n',
              "row 'w' (data row 2): cannot read 'abc' as a number for 'a'"),
+            ("id,label,a\nx,normal,1\ny,benign,2\nz,normal,3\nw,normal,abc\n",
+             "row 'y' (data row 2): unknown label 'benign'"),
+            ("id,label,a\nx,normal,1\ny,benign,2\nz,normal,nan\n",
+             "row 'y' (data row 2): unknown label 'benign'"),
+            ("id,label,a\nx,normal,1\ny,normal,-inf\nz,benign,3\n",
+             "row 'y' (data row 2): non-finite value for 'a'"),
         ],
-        ids=["two-such-rows", "before-a-row-loadtxt-rejects", "after-a-row-loadtxt-rejects"],
+        ids=["two-such-rows", "before-a-row-loadtxt-rejects", "after-a-row-loadtxt-rejects",
+             "label-before-a-row-loadtxt-rejects", "label-before-a-non-finite-value",
+             "non-finite-value-before-a-label"],
     )
     def test_text_after_closing_quote_names_the_first_bad_row(self, text, message):
         """The first bad row in file order is named, whatever is wrong with it."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy
 
 from mammoscope.fourier import Spectrum, dft2d_direct, fft2d, log_magnitude
 
@@ -11,6 +12,12 @@ def max_relative_error(got, want):
     if scale == 0.0:
         return np.abs(got).max()
     return np.abs(got - want).max() / scale
+
+
+def _half_and_rfft2(shape):
+    m = np.random.default_rng(shape[0] * 100 + shape[1] + 2).standard_normal(shape)
+    half = fft2d(m).half
+    return half, np.fft.rfft2(m, s=(half.shape[0],) * 2)
 
 
 class TestDirect:
@@ -137,6 +144,7 @@ def reference_log_magnitude(m, n):
 DIFFERENTIAL_CASES = [(1, 1), (2, 2), (3, 5), (5, 7), (33, 20)] + [
     (size, size) for size in (3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 63, 64)
 ]
+RFFT2_CASES = DIFFERENTIAL_CASES + [(256, 256), (300, 200), (1025, 1025)]
 
 
 class TestHalfPlane:
@@ -169,3 +177,19 @@ class TestHalfPlane:
         assert max_relative_error(spec.values, np.fft.fft2(m)) <= 1e-12
         assert max_relative_error(log_magnitude(spec), reference_log_magnitude(m, n)) <= 1e-12
         assert np.array_equal(log_magnitude(spec), np.fft.fftshift(np.log1p(np.abs(spec.values))))
+
+    @pytest.mark.parametrize("shape", RFFT2_CASES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_half_matches_numpy_rfft2(self, shape):
+        """scipy.fft's row-then-column passes give numpy's rfft2 on any build."""
+        half, want = _half_and_rfft2(shape)
+        assert max_relative_error(half, want) <= 1e-12
+
+    @pytest.mark.skipif(
+        (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+        reason="bit-for-bit agreement is checked on numpy 2.4.6 with scipy 1.17.1 only",
+    )
+    @pytest.mark.parametrize("shape", RFFT2_CASES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_half_is_numpy_rfft2_bit_for_bit(self, shape):
+        """On the pinned builds the two libraries agree to the last bit."""
+        half, want = _half_and_rfft2(shape)
+        assert np.array_equal(half.view(np.int64), want.view(np.int64))

@@ -79,6 +79,14 @@ class TestLargestComponent:
         kept = largest_component(BinaryMask(bits))
         assert np.array_equal(kept.bits, bits)
 
+    @pytest.mark.parametrize("hole", [False, True], ids=["full", "ring"])
+    def test_single_component_keeps_every_bit(self, hole):
+        bits = np.ones((6, 7), dtype=bool)
+        bits[2:4, 2:5] = not hole
+        kept = largest_component(BinaryMask(bits))
+        assert kept.bits.dtype == bool
+        assert np.array_equal(kept.bits, bits)
+
     def test_equal_size_tie_break_smallest_index(self):
         bits = np.zeros((3, 5), dtype=bool)
         bits[1, 3:5] = True  # appears first in scan order? no: row 1
@@ -203,6 +211,16 @@ class TestPipeline:
         out_a = preprocess_pipeline(img)
         out_b = preprocess_pipeline(mirrored)
         assert np.array_equal(out_a.pixels, out_b.pixels)
+
+    @pytest.mark.parametrize("cfg", [PreprocessConfig(), PreprocessConfig(orient=False),
+                                     PreprocessConfig(artifact_removal=False)])
+    def test_input_left_unchanged(self, cfg):
+        clean = np.zeros((10, 10))
+        clean[2:8, 6:10] = 0.5
+        for img in (_phantom_with_label()[0], GrayImage(clean)):
+            before = img.pixels.copy()
+            preprocess_pipeline(img, cfg)
+            assert np.array_equal(img.pixels, before)
 
     def test_all_below_threshold_degenerates(self):
         img = GrayImage(np.full((4, 4), 0.05))

@@ -93,6 +93,16 @@ class TestDwt1d:
         np.testing.assert_allclose(approx, ref_a, atol=1e-14)
         np.testing.assert_allclose(detail, ref_d, atol=1e-14)
 
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shortest_extent_matches_reference_loops_bit_for_bit(self, name, seed):
+        """At n = filter length most outputs wrap past the end; zeros keep their sign."""
+        filt = get_filter(name)
+        signal = np.random.default_rng(seed).standard_normal(len(filt))
+        signal[seed % len(filt) :: 2] = -0.0
+        for got, want in zip(dwt1d(signal, filt), reference_dwt1d(signal, filt)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_odd_length_rejected(self):
         with pytest.raises(OddLengthError):
             dwt1d([1.0, 2.0, 3.0], get_filter("haar"))
