@@ -9,8 +9,8 @@ Subcommands cover the whole flow on batch data:
     mammoscope evaluate --features CSV [--config PATH] [--roc-csv PATH] [--roc-svg PATH]
 
 Exit codes: 0 success, 1 partial data failure (some images failed to
-extract), 2 usage or configuration error. Commands validate their inputs
-before writing any output file.
+extract, or their worker process died), 2 usage or configuration error.
+Commands validate their inputs before writing any output file.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import io
 import os
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from pathlib import Path
 
 from . import bayes, evaluation, phantom
@@ -91,12 +91,14 @@ def _write_output(path: str, data: bytes) -> None:
         raise MammoscopeError(f"cannot write {path}: {exc}") from None
 
 
-def _extract_one(task: tuple[str, PipelineConfig]) -> FeatureVector:
-    path, cfg = task
-    data = Path(path).read_bytes()
-    img = to_gray(read_pgm(data))
-    img = preprocess_pipeline(img, cfg.preprocess)
-    return extract_features(img, cfg.features)
+def _extract_one(path: str, cfg: PipelineConfig) -> FeatureVector | str:
+    """One image's feature vector, or the message of the error that stopped it."""
+    try:
+        img = to_gray(read_pgm(Path(path).read_bytes()))
+        img = preprocess_pipeline(img, cfg.preprocess)  # rebound, so the raw image is freed
+        return extract_features(img, cfg.features)
+    except (MammoscopeError, OSError, ValueError) as exc:
+        return str(exc)
 
 
 def cmd_phantom(args) -> int:
@@ -112,36 +114,33 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.jobs < 1:
+        raise MammoscopeError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     manifest_path = Path(args.manifest)
     rows = _read_manifest(manifest_path)
-    base = manifest_path.parent
-
-    tasks = [(str(base / rel) if not Path(rel).is_absolute() else rel, cfg) for rel, _ in rows]
+    paths = [str(manifest_path.parent / rel) for rel, _ in rows]  # an absolute rel overrides
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_try_extract, tasks))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
+            futures = [pool.submit(_extract_one, path, cfg) for path in paths]
+            # a dead worker breaks every future not yet done; other errors raise as in serial
+            outcomes = [
+                "worker process died" if isinstance(f.exception(), BrokenProcessPool)
+                else f.result() for f in futures
+            ]
     else:
-        outcomes = [_try_extract(task) for task in tasks]
-    failures = [(rel, out) for (rel, _), out in zip(rows, outcomes) if isinstance(out, str)]
-    kept = [
-        (rel, label, out) for (rel, label), out in zip(rows, outcomes) if not isinstance(out, str)
-    ]
-    for image_id, message in failures:
-        print(f"extract failed for {image_id}: {message}", file=sys.stderr)
+        outcomes = [_extract_one(path, cfg) for path in paths]
+    kept = []
+    for (rel, label), out in zip(rows, outcomes):
+        if isinstance(out, str):
+            print(f"extract failed for {rel}: {out}", file=sys.stderr)
+        else:
+            kept.append((rel, label, out))
     if not kept:
         print("error: no image could be extracted", file=sys.stderr)
         return 1
     _write_output(args.out, table_to_csv(table_from_rows(kept)).encode("utf-8"))
-    return 1 if failures else 0
-
-
-def _try_extract(task: tuple[str, PipelineConfig]) -> FeatureVector | str:
-    """Worker-safe wrapper: a failure comes back as its message string."""
-    try:
-        return _extract_one(task)
-    except (MammoscopeError, OSError, ValueError) as exc:
-        return str(exc)
+    return 1 if len(kept) < len(rows) else 0
 
 
 def _load_table(path: str) -> FeatureTable:

@@ -215,17 +215,13 @@ class FeatureTable:
     ids: tuple[str, ...]
     labels: tuple[str, ...]
     values: np.ndarray  # shape (n_rows, n_features)
-    # per row; derived from the labels unless a table that already checked them passes it
-    suspicious: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
+    suspicious: np.ndarray = field(init=False, repr=False, compare=False)  # per row, from labels
 
     def __post_init__(self):
         rows = len(self.ids)
         if len(self.labels) != rows or self.values.shape != (rows, len(self.names)):
             raise ValueError("inconsistent table dimensions")
-        if self.suspicious is None:
-            object.__setattr__(self, "suspicious", suspicious_mask(self.labels, self.ids))
-        elif self.suspicious.shape != (rows,):
-            raise ValueError("inconsistent table dimensions")
+        object.__setattr__(self, "suspicious", suspicious_mask(self.labels, self.ids))
 
     @property
     def n_rows(self) -> int:
@@ -234,10 +230,7 @@ class FeatureTable:
     def subset(self, indices) -> "FeatureTable":
         idx = np.asarray(indices, dtype=np.intp)
         ids, labels = np.array((self.ids, self.labels), dtype=object)[:, idx].tolist()
-        return FeatureTable(
-            self.names, tuple(ids), tuple(labels), self.values[idx],
-            suspicious=self.suspicious[idx],
-        )
+        return FeatureTable(self.names, tuple(ids), tuple(labels), self.values[idx])
 
     def select_columns(self, names) -> "FeatureTable":
         wanted = list(names)
@@ -245,9 +238,7 @@ class FeatureTable:
         if missing:
             raise ValueError(f"unknown feature names {missing}")
         cols = [self.names.index(n) for n in wanted]
-        return FeatureTable(
-            tuple(wanted), self.ids, self.labels, self.values[:, cols], suspicious=self.suspicious
-        )
+        return FeatureTable(tuple(wanted), self.ids, self.labels, self.values[:, cols])
 
 
 def table_from_rows(rows) -> FeatureTable:
@@ -294,12 +285,13 @@ def _reads_as_float(token: str) -> bool:
     return core.isascii() and "_" not in core
 
 
-def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | None) -> str | None:
+def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | None, failure) -> str:
     """Name the first bad row in file order; data rows count from 1, blank lines skipped.
 
     A row is bad if loadtxt rejects it, its label is unknown, a value is not finite,
     or it holds the offset of ``_quote_problem``'s pair. A row that ``csv`` cannot
-    split has no id to name, so it is reported by number.
+    split has no id to name, so it is reported by number; so is the row after the last
+    when ``csv`` finds nothing wrong, with loadtxt's message ``failure`` as the reason.
     """
     number = 0
     try:
@@ -320,7 +312,7 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | Non
     except csv.Error as exc:
         reason = str(exc).partition(" - ")[0]
         return f"row <unreadable> (data row {number + 1}): {reason}"
-    return None
+    return f"row <unreadable> (data row {number + 1}): {failure}"
 
 
 # One quoted field as csv and np.loadtxt read it: an opening quote, which must start the
@@ -371,22 +363,22 @@ def table_from_csv(text: str) -> FeatureTable:
             rows = np.loadtxt(
                 buf, dtype=row_dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
             )
-        labels = tuple(rows["label"].tolist())
-        suspicious = suspicious_mask(labels)
-    except ValueError as exc:
-        failure = str(exc).partition("; use `usecols`")[0]
-    else:
         values = np.ascontiguousarray(rows["v"])
         if not np.isfinite(values).all():
-            failure = "non-finite value"
+            raise ValueError("non-finite value")
+        table = FeatureTable(
+            names, tuple(rows["id"].tolist()), tuple(rows["label"].tolist()), values
+        )
+    except ValueError as exc:
+        failure = str(exc).partition("; use `usecols`")[0]
     if failure is not None or quote:
         buf.seek(body)
         # the re-scan finds every problem above in file order, so the message found
         # without it is only a fallback
-        raise ValueError(_first_bad_row(buf, names, quote) or failure)
-    if not len(rows):
+        raise ValueError(_first_bad_row(buf, names, quote, failure))
+    if not table.n_rows:
         raise ValueError("feature CSV has no rows")
-    return FeatureTable(names, tuple(rows["id"].tolist()), labels, values, suspicious=suspicious)
+    return table
 
 
 def select_features(table: FeatureTable, k: int) -> list[str]:

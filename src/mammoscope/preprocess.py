@@ -27,13 +27,6 @@ class PreprocessConfig:
     artifact_removal: bool = True
 
 
-@dataclass(frozen=True)
-class BinaryMask:
-    """Boolean raster, shape (height, width)."""
-
-    bits: np.ndarray
-
-
 def orient(img: GrayImage) -> GrayImage:
     """Mirror the image horizontally when its intensity mass sits on the right.
 
@@ -53,35 +46,33 @@ def orient(img: GrayImage) -> GrayImage:
     return img
 
 
-def threshold(img: GrayImage, t: float) -> BinaryMask:
-    """Foreground bit wherever pixel >= t (inclusive, so t=0 keeps everything)."""
-    return BinaryMask(img.pixels >= t)
+def threshold(img: GrayImage, t: float) -> np.ndarray:
+    """Boolean mask, True wherever pixel >= t (inclusive, so t=0 keeps everything)."""
+    return img.pixels >= t
 
 
-def largest_component(mask: BinaryMask) -> BinaryMask:
+def largest_component(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 4-connected foreground component.
 
     Labels, markers and scanner artifacts are separate small components and
     get cleared. An empty mask passes through unchanged. Equal-size ties go
     to the component containing the smallest row-major pixel index.
     """
-    labels, count = ndimage.label(mask.bits, structure=_FOUR_CONNECTED)
+    labels, count = ndimage.label(mask, structure=_FOUR_CONNECTED)
     if count < 2:  # an empty mask, or one component: labels == 1 is the mask itself
         return mask
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     # labels are numbered in row-major order of each component's first pixel,
     # so argmax, which takes the first of equal maxima, is the tie-break above
-    return BinaryMask(labels == np.argmax(sizes))
+    return labels == np.argmax(sizes)
 
 
-def apply_mask(img: GrayImage, mask: BinaryMask) -> GrayImage:
-    """Zero every pixel outside the mask."""
-    if img.pixels.shape != mask.bits.shape:
-        raise DimensionMismatchError(
-            f"image {img.pixels.shape} vs mask {mask.bits.shape}"
-        )
-    return GrayImage(img.pixels * mask.bits)
+def apply_mask(img: GrayImage, mask: np.ndarray) -> GrayImage:
+    """Zero every pixel outside the boolean mask."""
+    if img.pixels.shape != mask.shape:
+        raise DimensionMismatchError(f"image {img.pixels.shape} vs mask {mask.shape}")
+    return GrayImage(img.pixels * mask)
 
 
 def normalize_intensity(img: GrayImage) -> GrayImage:

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import multiprocessing
 import os
 import stat
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -35,6 +37,37 @@ def workdir(tmp_path):
 
 def run(argv):
     return cli.main(argv)
+
+
+_EXTRACT_ONE = cli._extract_one
+DEAD_IMAGE = "phantom_0005_normal.pgm"
+
+
+def _extract_or_die(path, cfg):
+    """Stands in for ``cli._extract_one``; a module-level name, so workers can unpickle it."""
+    if path.endswith(DEAD_IMAGE):
+        os._exit(3)
+    return _EXTRACT_ONE(path, cfg)
+
+
+class _InlineExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and runs each task at once."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestConfig:
@@ -164,6 +197,79 @@ class TestExtractCommand:
         run(["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
              "--out", str(parallel), "--jobs", "2"])
         assert serial.read_text() == parallel.read_text()
+
+    def test_jobs_flag_matches_serial_on_failure(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        manifest = out / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines[:4] + ["missing.pgm,normal\n"] + lines[4:]))
+        results = []
+        for jobs in ("1", "2"):
+            feats = tmp_path / f"jobs{jobs}.csv"
+            capsys.readouterr()
+            status = run(["extract", "--config", cfg, "--manifest", str(manifest),
+                          "--out", str(feats), "--jobs", jobs])
+            results.append((status, capsys.readouterr().err, feats.read_bytes()))
+        assert results[0] == results[1]
+        status, err, data = results[0]
+        assert status == 1
+        assert err.startswith("extract failed for missing.pgm: ")
+        assert err.count("\n") == 1
+        assert len(data.decode().splitlines()) == 13  # header + 12 rows
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_exit_2_before_reading(self, workdir, capsys, jobs):
+        tmp_path, cfg = workdir
+        feats = tmp_path / "f.csv"
+        status = run(["extract", "--config", str(tmp_path / "no.cfg"), "--manifest",
+                      str(tmp_path / "no.csv"), "--out", str(feats), "--jobs", jobs])
+        assert status == 2
+        assert not feats.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    @pytest.mark.parametrize("jobs, workers", [("64", 12), ("12", 12), ("3", 3)])
+    def test_pool_has_no_more_workers_than_images(self, workdir, monkeypatch, jobs, workers):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        serial = tmp_path / "serial.csv"
+        pooled = tmp_path / "pooled.csv"
+        run(["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
+             "--out", str(serial)])
+        monkeypatch.setattr(_InlineExecutor, "sizes", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlineExecutor)
+        assert run(["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
+                    "--out", str(pooled), "--jobs", jobs]) == 0
+        assert _InlineExecutor.sizes == [workers]
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched extractor only when forked",
+    )
+    def test_dead_worker_is_a_failure_line(self, workdir, capsys, monkeypatch):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        ids = [row.split(",")[0] for row in (out / "manifest.csv").read_text().splitlines()[1:]]
+        monkeypatch.setattr(cli, "_extract_one", _extract_or_die)
+        feats = tmp_path / "f.csv"
+        capsys.readouterr()
+        status = run(["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
+                      "--out", str(feats), "--jobs", "2"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"extract failed for {DEAD_IMAGE}: worker process died\n" in err
+        assert "Traceback" not in err
+        died = [line.split(" ")[3][:-1] for line in err.splitlines()]
+        assert all(line.endswith(": worker process died") for line in err.splitlines())
+        kept = [row.split(",")[0] for row in feats.read_text().splitlines()[1:]]
+        assert kept  # of the five images before the dead one, at most one is in flight
+        assert sorted(kept + died) == sorted(ids)
+        assert DEAD_IMAGE not in kept
 
 
 def _pipeline_to_features(workdir):

@@ -746,6 +746,23 @@ class TestCsvParse:
             f"row <unreadable> (data row {number}): new-line character seen in unquoted field"
         )
 
+    @pytest.mark.parametrize(
+        "text, number",
+        [
+            ("id,label,a\nx,normal,1\n\r\r", 2),
+            ("id,label,a\n\r\r", 1),
+            ("id,label,a\nx,normal,1\n\r\r\n", 2),
+        ],
+        ids=["after-a-row", "only-body", "then-newline"],
+    )
+    def test_lone_carriage_returns_name_the_row_after_the_last(self, text, number):
+        """csv reads lone CRs as blank records, so loadtxt's message is the reason given."""
+        with pytest.raises(ValueError) as info:
+            table_from_csv(text)
+        assert str(info.value).startswith(
+            f"row <unreadable> (data row {number}): Found an unquoted embedded newline"
+        )
+
     @pytest.mark.parametrize("seed", range(24))
     def test_error_names_the_corrupted_row(self, seed):
         """Row numbers count data rows across blank lines, CRLF and quoted newlines."""

@@ -9,7 +9,6 @@ from scipy import ndimage
 from mammoscope.errors import DegenerateImageError, DimensionMismatchError
 from mammoscope.imgio import GrayImage
 from mammoscope.preprocess import (
-    BinaryMask,
     PreprocessConfig,
     apply_mask,
     largest_component,
@@ -52,15 +51,15 @@ class TestOrient:
 class TestThreshold:
     def test_inclusive_boundary(self):
         mask = threshold(image([[0.1, 0.5, 0.9]]), 0.5)
-        assert mask.bits.tolist() == [[False, True, True]]
+        assert mask.tolist() == [[False, True, True]]
 
     def test_zero_keeps_everything(self):
         mask = threshold(image([[0.0, 0.2], [0.9, 1.0]]), 0.0)
-        assert mask.bits.all()
+        assert mask.all()
 
     def test_one_keeps_only_full_intensity(self):
         mask = threshold(image([[0.999, 1.0]]), 1.0)
-        assert mask.bits.tolist() == [[False, True]]
+        assert mask.tolist() == [[False, True]]
 
 
 class TestLargestComponent:
@@ -68,45 +67,45 @@ class TestLargestComponent:
         bits = np.zeros((13, 12), dtype=bool)
         bits[1:11, 1:11] = True  # 100-pixel block
         bits[12, 9:12] = True  # detached 3-pixel strip
-        kept = largest_component(BinaryMask(bits))
-        assert kept.bits[1:11, 1:11].all()
-        assert not kept.bits[12].any()
-        assert kept.bits.sum() == 100
+        kept = largest_component(bits)
+        assert kept[1:11, 1:11].all()
+        assert not kept[12].any()
+        assert kept.sum() == 100
 
     def test_single_component_unchanged(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[1:3, 1:3] = True
-        kept = largest_component(BinaryMask(bits))
-        assert np.array_equal(kept.bits, bits)
+        kept = largest_component(bits)
+        assert np.array_equal(kept, bits)
 
     @pytest.mark.parametrize("hole", [False, True], ids=["full", "ring"])
     def test_single_component_keeps_every_bit(self, hole):
         bits = np.ones((6, 7), dtype=bool)
         bits[2:4, 2:5] = not hole
-        kept = largest_component(BinaryMask(bits))
-        assert kept.bits.dtype == bool
-        assert np.array_equal(kept.bits, bits)
+        kept = largest_component(bits)
+        assert kept.dtype == bool
+        assert np.array_equal(kept, bits)
 
     def test_equal_size_tie_break_smallest_index(self):
         bits = np.zeros((3, 5), dtype=bool)
         bits[1, 3:5] = True  # appears first in scan order? no: row 1
         bits[2, 0:2] = True
-        kept = largest_component(BinaryMask(bits))
+        kept = largest_component(bits)
         # both components have 2 pixels; row 1 holds the smaller flat index
-        assert kept.bits[1, 3] and kept.bits[1, 4]
-        assert not kept.bits[2, 0]
+        assert kept[1, 3] and kept[1, 4]
+        assert not kept[2, 0]
 
     def test_diagonal_touch_is_not_connected(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[0, 0] = bits[1, 1] = bits[1, 2] = True  # diagonal pair + neighbor
-        kept = largest_component(BinaryMask(bits))
-        assert kept.bits.sum() == 2
-        assert not kept.bits[0, 0]
+        kept = largest_component(bits)
+        assert kept.sum() == 2
+        assert not kept[0, 0]
 
     def test_empty_mask_unchanged(self):
         bits = np.zeros((3, 3), dtype=bool)
-        kept = largest_component(BinaryMask(bits))
-        assert not kept.bits.any()
+        kept = largest_component(bits)
+        assert not kept.any()
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -117,9 +116,9 @@ class TestLargestComponent:
     def test_tie_break_matches_first_pixel_rule(self, shape, seed, density):
         """Among the largest components, keep the one whose first row-major pixel comes first."""
         bits = np.random.default_rng(seed).random(shape) < density
-        kept = largest_component(BinaryMask(bits))
+        kept = largest_component(bits)
         if not bits.any():
-            assert not kept.bits.any()
+            assert not kept.any()
             return
         four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
         labels, _ = ndimage.label(bits, structure=four)
@@ -128,36 +127,36 @@ class TestLargestComponent:
         candidates = np.flatnonzero(sizes == sizes.max())
         flat = labels.ravel()
         keep = min(candidates, key=lambda lab: int(np.flatnonzero(flat == lab)[0]))
-        assert np.array_equal(kept.bits, labels == keep)
+        assert np.array_equal(kept, labels == keep)
 
     def test_output_subset_of_input(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             bits = rng.random((16, 16)) > 0.6
-            kept = largest_component(BinaryMask(bits))
-            assert not (kept.bits & ~bits).any()
+            kept = largest_component(bits)
+            assert not (kept & ~bits).any()
 
 
 class TestApplyMask:
     def test_all_ones_identity(self):
         img = image([[0.1, 0.9], [0.5, 0.2]])
-        out = apply_mask(img, BinaryMask(np.ones((2, 2), dtype=bool)))
+        out = apply_mask(img, np.ones((2, 2), dtype=bool))
         assert np.array_equal(out.pixels, img.pixels)
 
     def test_all_zeros(self):
         img = image([[0.1, 0.9]])
-        out = apply_mask(img, BinaryMask(np.zeros((1, 2), dtype=bool)))
+        out = apply_mask(img, np.zeros((1, 2), dtype=bool))
         assert not out.pixels.any()
 
     def test_checkerboard(self):
         img = image([[1.0, 1.0], [1.0, 1.0]])
         board = np.array([[True, False], [False, True]])
-        out = apply_mask(img, BinaryMask(board))
+        out = apply_mask(img, board)
         assert out.pixels.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            apply_mask(image([[1.0]]), BinaryMask(np.ones((2, 2), dtype=bool)))
+            apply_mask(image([[1.0]]), np.ones((2, 2), dtype=bool))
 
 
 class TestNormalizeIntensity:
