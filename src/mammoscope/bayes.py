@@ -118,7 +118,8 @@ def classify(
 
 
 def save_model(model: GaussianNbModel) -> bytes:
-    """Line-oriented text encoding with full round-trip float precision."""
+    """Line-oriented text encoding with full round-trip float precision,
+    checked by reading it back with :func:`load_model`."""
     lines = [f"nbmodel v{MODEL_VERSION}"]
     for label, prior in zip(model.classes, model.priors):
         lines.append(f"prior {label} {float(prior)!r}")
@@ -128,7 +129,10 @@ def save_model(model: GaussianNbModel) -> bytes:
                 f"gauss {label} {name} {float(model.means[c, f])!r} "
                 f"{float(model.variances[c, f])!r}"
             )
-    return ("\n".join(lines) + "\n").encode("ascii")
+    data = ("\n".join(lines) + "\n").encode("ascii", "replace")  # non-ASCII reads back as '?'
+    if load_model(data).feature_names != model.feature_names:
+        raise CorruptModelError(f"feature names {model.feature_names} do not fit a model file")
+    return data
 
 
 def load_model(data: bytes) -> GaussianNbModel:

@@ -39,17 +39,21 @@ from .features import (
     table_from_rows,
     table_to_csv,
 )
-from .imgio import read_pgm, to_gray
+from .imgio import read_pgm, to_gray, write_pgm
 from .preprocess import preprocess_pipeline
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    """A UTF-8 text input, read in universal-newline mode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MammoscopeError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MammoscopeError(f"cannot read manifest {path}: {exc}") from None
-    try:
-        records = list(csv.reader(io.StringIO(text)))
+        records = list(csv.reader(io.StringIO(_read_text(path, "manifest"))))
     except csv.Error as exc:
         raise MammoscopeError(f"cannot parse manifest {path}: {exc}") from None
     if not records:
@@ -68,7 +72,7 @@ def _read_manifest(path: Path) -> list[tuple[str, str]]:
     return rows
 
 
-def _write_output(path: str, data: bytes) -> None:
+def _write_output(path: str | Path, data: bytes) -> None:
     """Write an output file whole or not at all.
 
     The bytes go to a fresh temporary file beside the target, which
@@ -105,10 +109,14 @@ def cmd_phantom(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out)
     try:
-        phantom.generate(cfg.phantom, out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot write phantom set: {exc}", file=sys.stderr)
-        return 2
+        raise MammoscopeError(f"cannot write phantom set: {exc}") from None
+    items = phantom.render_set(cfg.phantom)
+    for name, _, img in items:
+        _write_output(out_dir / name, write_pgm(img, maxval=255, binary=True))
+    manifest = "path,label\n" + "".join(f"{name},{label}\n" for name, label, _ in items)
+    _write_output(out_dir / "manifest.csv", manifest.encode("ascii"))  # last: lists only whole files
     print(f"wrote {2 * cfg.phantom.count_per_class} images and manifest to {out_dir}")
     return 0
 
@@ -144,10 +152,7 @@ def cmd_extract(args) -> int:
 
 
 def _load_table(path: str) -> FeatureTable:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MammoscopeError(f"cannot read features {path}: {exc}") from None
+    text = _read_text(path, "features")
     try:
         return table_from_csv(text)
     except ValueError as exc:

@@ -195,8 +195,9 @@ def roc_to_csv(curve: RocCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def roc_to_svg(curve: RocCurve, size: int = 360, margin: int = 30) -> str:
+def roc_to_svg(curve: RocCurve) -> str:
     """Minimal single-file plot: unit-square axis box plus the curve polyline."""
+    size, margin = 360, 30
     span = size - 2 * margin
 
     def sx(x: float) -> float:

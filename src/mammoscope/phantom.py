@@ -13,15 +13,12 @@ config renders to byte-identical files on any machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .features import NORMAL, SUSPICIOUS
-from .imgio import GrayImage, write_pgm
+from .imgio import GrayImage
 from .rng import Rng
-
-MANIFEST_NAME = "manifest.csv"
 
 # upper-right corner stamp used to exercise artifact removal
 _LABEL_ROWS = slice(4, 12)
@@ -139,16 +136,3 @@ def render_set(cfg: PhantomConfig) -> list[tuple[str, str, GrayImage]]:
         items.append((name, label, render_image(cfg, index)))
     return items
 
-
-def generate(cfg: PhantomConfig, out_dir) -> list[tuple[str, str]]:
-    """Write PGM files plus ``manifest.csv`` and return (path, label) rows."""
-    cfg.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for name, label, img in render_set(cfg):
-        (out / name).write_bytes(write_pgm(img, maxval=255, binary=True))
-        rows.append((name, label))
-    manifest = "path,label\n" + "".join(f"{name},{label}\n" for name, label in rows)
-    (out / MANIFEST_NAME).write_text(manifest, encoding="ascii")
-    return rows

@@ -1,5 +1,7 @@
 """Tests for the command-line pipeline and config parsing."""
 
+import ast
+import contextlib
 import csv
 import io
 import multiprocessing
@@ -7,6 +9,7 @@ import os
 import stat
 import threading
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +343,20 @@ def _small_csv_with_row(index, row):
     return "\n".join(lines) + "\n"
 
 
+def _unloadable_csv(case):
+    """A 12-row feature CSV that parses, but whose trained model would not load."""
+    labels = [("normal", "suspicious")[i % 2] for i in range(12)]
+    if case == "no-features":
+        return "id,label\n" + "".join(f"r{i},{label}\n" for i, label in enumerate(labels))
+    if case == "overflow":
+        return "id,label,a\n" + "".join(
+            f"r{i},{label},{('1e308', '-1e308')[i // 2 % 2]}\n" for i, label in enumerate(labels)
+        )
+    header = {"non-ascii-name": "id,label,a,é", "space-in-name": 'id,label,a,"a b"',
+              "empty-name": 'id,label,a,""'}[case]
+    return _small_csv(header)
+
+
 def _command(command, cfg, features, tmp_path, out_dir=None):
     """argv for one table-reading command, and the output files it may write."""
     out_dir = out_dir or tmp_path
@@ -448,6 +465,21 @@ class TestOutputWrites:
                     "--out", str(model)]) == 2
         assert model.read_text() == "previous model\n"
         assert sorted(os.listdir(tmp_path)) == before
+
+    def test_failed_replace_keeps_previous_phantom_set(self, workdir, monkeypatch):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        assert run(["phantom", "--config", cfg, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        other = tmp_path / "other.cfg"  # another seed, so any file written through would differ
+        other.write_text(SMALL_CONFIG.replace("phantom.seed = 77", "phantom.seed = 78"))
+
+        def failing_replace(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        assert run(["phantom", "--config", str(other), "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_output_replaces_existing_file_whole(self, workdir, tmp_path):
         _, cfg = workdir
@@ -574,6 +606,38 @@ class TestTrainPredict:
         assert run(["train", "--config", cfg, "--features", str(bad),
                     "--out", str(tmp_path / "m.txt")]) == 2
 
+    @pytest.mark.parametrize(
+        "case", ["non-ascii-name", "space-in-name", "empty-name", "no-features", "overflow"]
+    )
+    def test_unloadable_model_is_exit_2_and_not_written(self, workdir, tmp_path, capsys, case):
+        _, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_unloadable_csv(case), encoding="utf-8")
+        model = tmp_path / "m.txt"
+        argv = ["train", "--config", cfg, "--features", str(feats), "--out", str(model)]
+        # 1e308 overflows the variance; numpy warns, and the model check rejects the inf
+        with pytest.warns(RuntimeWarning) if case == "overflow" else contextlib.nullcontext():
+            assert run(argv) == 2
+        assert not model.exists()
+        captured = capsys.readouterr()
+        assert "error: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("newline, tail", [("\r", ""), ("\n", "\r\r")],
+                             ids=["cr-only", "cr-cr-tail"])
+    def test_cr_line_endings_train_like_lf(self, workdir, tmp_path, newline, tail):
+        _, cfg = workdir
+        models = []
+        for name, text in [("lf", _small_csv()),
+                           ("cr", _small_csv().replace("\n", newline) + tail)]:
+            feats, model = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+            feats.write_bytes(text.encode("ascii"))
+            assert run(["train", "--config", cfg, "--features", str(feats),
+                        "--out", str(model)]) == 0
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
 
 class TestEvaluateCommand:
     def test_full_report_and_roc(self, workdir, capsys, tmp_path):
@@ -608,3 +672,60 @@ class TestEvaluateCommand:
         bad = tmp_path / "one_class.csv"
         bad.write_text("\n".join(only_normal) + "\n")
         assert run(["evaluate", "--config", cfg, "--features", str(bad)]) == 2
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """``.write_bytes``/``.write_text``, or an ``open`` whose mode may write."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name in ("write_bytes", "write_text"):
+        return True
+    if name != "open":
+        return False
+    index = 1 if isinstance(func, ast.Name) else 0  # open(file, mode) or path.open(mode)
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[index] if len(call.args) > index else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wxa+"))
+
+
+def _file_writes(source: str) -> list[str]:
+    """Name of the innermost function around each file write in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and _writes_a_file(node):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("source, writes", [
+        ("Path(p).write_bytes(b'')", True),
+        ("p.write_text('x')", True),
+        ("open(p, 'w')", True),
+        ("open(p, mode='ab')", True),
+        ("open(p, 'r+b')", True),
+        ("p.open('x')", True),
+        ("open(p, m)", True),
+        ("open(p)", False),
+        ("open(p, 'rb')", False),
+        ("p.open()", False),
+        ("Path(p).read_bytes()", False),
+    ])
+    def test_detector(self, source, writes):
+        assert _file_writes(source) == (["<module>"] if writes else [])
+
+    def test_write_output_is_the_only_writer(self):
+        writers = {
+            path.name: _file_writes(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        }
+        assert writers.pop("cli.py") == ["_write_output", "_write_output"]
+        assert writers == {name: [] for name in writers}

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from mammoscope import cli
 from mammoscope.features import NORMAL, SUSPICIOUS
 from mammoscope.imgio import read_pgm, to_gray, write_pgm
-from mammoscope.phantom import PhantomConfig, generate, render_image, render_set
+from mammoscope.phantom import PhantomConfig, render_image, render_set
 
 CFG = PhantomConfig(size=64, count_per_class=4, seed=99, mass_radius=8.0)
+CFG_TEXT = (
+    f"phantom.size = {CFG.size}\nphantom.count_per_class = {CFG.count_per_class}\n"
+    f"phantom.seed = {CFG.seed}\nphantom.mass_radius = {CFG.mass_radius}\n"
+)
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -21,6 +26,14 @@ def breast_mask(pixels):
     return labels == sizes.argmax()
 
 
+def phantom_cli(tmp_path, out):
+    """Run ``mammoscope phantom`` with CFG; (name, label) of each PGM it wrote."""
+    cfg = tmp_path / "phantom.cfg"
+    cfg.write_text(CFG_TEXT)
+    assert cli.main(["phantom", "--config", str(cfg), "--out", str(out)]) == 0
+    return [(p.name, p.stem.rsplit("_", 1)[1]) for p in sorted(out.glob("*.pgm"))]
+
+
 class TestDeterminism:
     def test_same_config_same_bytes(self):
         set_a = render_set(CFG)
@@ -30,8 +43,8 @@ class TestDeterminism:
             assert write_pgm(img_a, 255, binary=True) == write_pgm(img_b, 255, binary=True)
 
     def test_generate_writes_identical_files(self, tmp_path):
-        rows_a = generate(CFG, tmp_path / "a")
-        rows_b = generate(CFG, tmp_path / "b")
+        rows_a = phantom_cli(tmp_path, tmp_path / "a")
+        rows_b = phantom_cli(tmp_path, tmp_path / "b")
         assert rows_a == rows_b
         for name, _ in rows_a:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -42,16 +55,18 @@ class TestDeterminism:
 
 class TestSetStructure:
     def test_label_balance_and_manifest(self, tmp_path):
-        rows = generate(CFG, tmp_path)
+        out = tmp_path / "set"
+        rows = phantom_cli(tmp_path, out)
         assert len(rows) == 2 * CFG.count_per_class
         labels = [label for _, label in rows]
         assert labels.count(NORMAL) == CFG.count_per_class
         assert labels.count(SUSPICIOUS) == CFG.count_per_class
-        manifest = (tmp_path / "manifest.csv").read_text().splitlines()
+        manifest = (out / "manifest.csv").read_text().splitlines()
         assert manifest[0] == "path,label"
         assert len(manifest) == len(rows) + 1
+        assert manifest[1:] == [f"{name},{label}" for name, label in rows]
         for name, _ in rows:
-            raw = read_pgm((tmp_path / name).read_bytes())
+            raw = read_pgm((out / name).read_bytes())
             assert (raw.width, raw.height) == (CFG.size, CFG.size)
 
     def test_pixels_clamped(self):
