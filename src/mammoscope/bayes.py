@@ -1,11 +1,11 @@
 """Two-class Gaussian naive Bayes over named scalar features.
 
 Class posteriors follow Bayes' rule with conditionally independent
-features; each feature's class-conditional likelihood is a Gaussian fitted
-by population mean and variance. Evaluation happens in log space, each
-log-density term floored near the smallest representable magnitude, and
-the normalized posteriors are kept strictly inside (0, 1) so downstream
-ratio work never sees an exact 0 or 1.
+features, each a Gaussian fitted by population mean and variance. A model,
+read or fitted, that cannot score rows raises CorruptModelError. Evaluation
+happens in log space, each log-density term floored near the smallest
+representable magnitude, and the normalized posteriors are kept strictly
+inside (0, 1) so downstream ratio work never sees an exact 0 or 1.
 """
 
 from __future__ import annotations
@@ -31,13 +31,23 @@ _PROB_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class GaussianNbModel:
-    """Per-class priors plus per-class per-feature Gaussian parameters."""
+    """Per-class priors and per-feature Gaussians, checked on construction."""
 
     classes: tuple[str, str]
     priors: np.ndarray  # shape (2,)
     feature_names: tuple[str, ...]
     means: np.ndarray  # shape (2, n_features)
     variances: np.ndarray  # shape (2, n_features)
+
+    def __post_init__(self):
+        if not self.feature_names or len(set(self.feature_names)) != len(self.feature_names):
+            raise CorruptModelError(f"feature names {self.feature_names} are empty or repeat")
+        if not all(np.isfinite(a).all() for a in (self.priors, self.means, self.variances)):
+            raise CorruptModelError("non-finite model parameter")
+        if self.priors.min() <= 0.0 or abs(self.priors.sum() - 1.0) > 1e-12:
+            raise CorruptModelError("priors must be positive and sum to 1")
+        if self.variances.min() < VARIANCE_FLOOR:
+            raise CorruptModelError(f"variance below floor {VARIANCE_FLOOR}")
 
 
 def train(table: FeatureTable) -> GaussianNbModel:
@@ -118,8 +128,10 @@ def classify(
 
 
 def save_model(model: GaussianNbModel) -> bytes:
-    """Line-oriented text encoding with full round-trip float precision,
-    checked by reading it back with :func:`load_model`."""
+    """Line-oriented text encoding with full round-trip float precision;
+    each feature name must be one ASCII token, as :func:`load_model` splits."""
+    if not all(name.isascii() and name.split() == [name] for name in model.feature_names):
+        raise CorruptModelError(f"feature names {model.feature_names} do not fit a model file")
     lines = [f"nbmodel v{MODEL_VERSION}"]
     for label, prior in zip(model.classes, model.priors):
         lines.append(f"prior {label} {float(prior)!r}")
@@ -129,10 +141,7 @@ def save_model(model: GaussianNbModel) -> bytes:
                 f"gauss {label} {name} {float(model.means[c, f])!r} "
                 f"{float(model.variances[c, f])!r}"
             )
-    data = ("\n".join(lines) + "\n").encode("ascii", "replace")  # non-ASCII reads back as '?'
-    if load_model(data).feature_names != model.feature_names:
-        raise CorruptModelError(f"feature names {model.feature_names} do not fit a model file")
-    return data
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def load_model(data: bytes) -> GaussianNbModel:
@@ -155,7 +164,7 @@ def load_model(data: bytes) -> GaussianNbModel:
             continue
         parts = line.split()
         try:
-            if parts[0] == "prior" and len(parts) == 3:
+            if parts[0] == "prior" and len(parts) == 3 and parts[1] not in priors:
                 priors[parts[1]] = float(parts[2])
             elif parts[0] == "gauss" and len(parts) == 5:
                 gauss[parts[1]].append((parts[2], float(parts[3]), float(parts[4])))
@@ -167,19 +176,11 @@ def load_model(data: bytes) -> GaussianNbModel:
     if set(priors) != set(LABELS):
         raise CorruptModelError(f"priors present for {sorted(priors)}, need {LABELS}")
     prior_values = np.array([priors[label] for label in LABELS])
-    if prior_values.min() <= 0.0 or abs(prior_values.sum() - 1.0) > 1e-12:
-        raise CorruptModelError("priors must be positive and sum to 1")
 
     name_lists = [tuple(name for name, _, _ in gauss[label]) for label in LABELS]
-    if not name_lists[0] or name_lists[0] != name_lists[1]:
-        raise CorruptModelError("gauss records missing or inconsistent across classes")
-    if len(set(name_lists[0])) != len(name_lists[0]):
-        raise CorruptModelError("duplicate feature in gauss records")
+    if name_lists[0] != name_lists[1]:
+        raise CorruptModelError("gauss records inconsistent across classes")
 
     means = np.array([[m for _, m, _ in gauss[label]] for label in LABELS])
     variances = np.array([[v for _, _, v in gauss[label]] for label in LABELS])
-    if not np.all(np.isfinite(means)) or not np.all(np.isfinite(variances)):
-        raise CorruptModelError("non-finite model parameter")
-    if variances.min() < VARIANCE_FLOOR:
-        raise CorruptModelError(f"variance below floor {VARIANCE_FLOOR}")
     return GaussianNbModel(LABELS, prior_values, name_lists[0], means, variances)

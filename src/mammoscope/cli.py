@@ -25,6 +25,8 @@ import sys
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import bayes, evaluation, phantom
 from .config import PipelineConfig, load_config
 from .errors import MammoscopeError
@@ -253,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # every value written is checked finite or floored
+            return args.func(args)
     except MammoscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

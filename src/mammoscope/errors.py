@@ -85,7 +85,7 @@ class UnknownVersionError(MammoscopeError):
 
 
 class CorruptModelError(MammoscopeError):
-    """Model file is truncated or structurally invalid."""
+    """A model, read or fitted, that cannot score rows."""
 
 
 # --- evaluation ---------------------------------------------------------

@@ -90,6 +90,42 @@ class TestTrain:
             train(empty)
 
 
+class TestModelCheck:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("feature_names", ()),
+            ("feature_names", ("a", "a")),
+            ("priors", np.array([np.nan, 0.5])),
+            ("priors", np.array([0.0, 1.0])),
+            ("priors", np.array([0.5, 0.6])),
+            ("means", np.array([[np.inf, 0.0], [0.0, 0.0]])),
+            ("variances", np.array([[np.nan, 1.0], [1.0, 1.0]])),
+            ("variances", np.array([[VARIANCE_FLOOR / 2, 1.0], [1.0, 1.0]])),
+        ],
+        ids=["no-names", "repeated-name", "nan-prior", "zero-prior", "prior-sum",
+             "inf-mean", "nan-variance", "variance-below-floor"],
+    )
+    def test_unscorable_model_is_rejected(self, field, value):
+        parts = {"classes": ("normal", "suspicious"), "priors": np.array([0.5, 0.5]),
+                 "feature_names": ("a", "b"), "means": np.zeros((2, 2)),
+                 "variances": np.ones((2, 2))}
+        GaussianNbModel(**parts)
+        with pytest.raises(CorruptModelError):
+            GaussianNbModel(**(parts | {field: value}))
+
+    def test_train_rejects_overflowing_variance(self):
+        table = make_table([("normal", [1e308]), ("normal", [-1e308]),
+                            ("suspicious", [1e308]), ("suspicious", [-1e308])])
+        with np.errstate(over="ignore"), pytest.raises(CorruptModelError, match="non-finite"):
+            train(table)
+
+    def test_train_rejects_a_table_without_features(self):
+        empty = FeatureTable((), ("a", "b"), ("normal", "suspicious"), np.empty((2, 0)))
+        with pytest.raises(CorruptModelError, match="feature names"):
+            train(empty)
+
+
 class TestPosterior:
     def test_symmetric_model_equidistant_point(self):
         model = single_feature_model()
@@ -267,7 +303,61 @@ def models(draw):
     )
 
 
+@st.composite
+def tables(draw):
+    names = tuple(draw(NAMES))
+    labels = draw(st.lists(st.sampled_from(["normal", "suspicious"]), min_size=2, max_size=12)
+                  .filter(lambda ls: len(set(ls)) == 2))
+    # half the tables are moderate, so their fits succeed and round-trip; the other half
+    # mix in values that square past the largest double, or any finite value
+    value = st.floats(-1e6, 1e6)
+    if draw(st.booleans()):
+        value = st.one_of(value, st.sampled_from([1e300, -1e300]), FINITE)
+    values = draw(st.lists(value, min_size=len(labels) * len(names),
+                           max_size=len(labels) * len(names)))
+    ids = tuple(f"r{i}" for i in range(len(labels)))
+    return FeatureTable(names, ids, tuple(labels), np.array(values).reshape(len(labels), -1))
+
+
 class TestPersistence:
+    @settings(deadline=None)
+    @given(table=tables())
+    def test_trained_model_round_trips(self, table):
+        # overflow in the fit is expected here; the model check turns it into an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                model = train(table)
+            except CorruptModelError:
+                return
+        saved = save_model(model)
+        assert save_model(load_model(saved)) == saved
+
+    @pytest.mark.parametrize("name", ["", "a b", "\u00e9", "a\x0bb", "a\x1cb"],
+                             ids=["empty", "space", "non-ascii", "vertical-tab", "file-sep"])
+    def test_name_the_file_cannot_hold(self, name):
+        model = GaussianNbModel(
+            ("normal", "suspicious"), np.array([0.5, 0.5]), ("a", name),
+            np.zeros((2, 2)), np.ones((2, 2)),
+        )
+        with pytest.raises(CorruptModelError):  # as reading the file back did
+            save_model(model)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"prior normal 0.5", b"prior normal nan"),
+            (b"f0 0.0 ", b"f0 nan "),
+            (b"f0 0.0 2.5e-10", b"f0 0.0 nan"),
+            (b"prior normal 0.5\n", b"prior normal 0.3\nprior normal 0.5\n"),
+        ],
+        ids=["nan-prior", "nan-mean", "nan-variance", "repeated-prior"],
+    )
+    def test_unscorable_file_rejected(self, old, new):
+        data = save_model(train(make_table([("normal", [0.0]), ("suspicious", [1.0])])))
+        assert data.count(old) == 1
+        with pytest.raises(CorruptModelError):
+            load_model(data.replace(old, new))
+
     @settings(deadline=None)
     @given(model=models())
     def test_round_trip_property(self, model):

@@ -1,7 +1,6 @@
 """Tests for the command-line pipeline and config parsing."""
 
 import ast
-import contextlib
 import csv
 import io
 import multiprocessing
@@ -607,21 +606,78 @@ class TestTrainPredict:
                     "--out", str(tmp_path / "m.txt")]) == 2
 
     @pytest.mark.parametrize(
-        "case", ["non-ascii-name", "space-in-name", "empty-name", "no-features", "overflow"]
+        "command, case, select",
+        [pytest.param("train", case, "", id=case) for case in
+         ["non-ascii-name", "space-in-name", "empty-name", "no-features", "overflow"]]
+        + [pytest.param("evaluate", case, "", id=f"evaluate-{case}")
+           for case in ["no-features", "overflow"]]
+        + [pytest.param(command, case, "select.k = 1\n", id=f"{command}-{case}-select-k")
+           for command in ["train", "evaluate"] for case in ["no-features", "overflow"]],
     )
-    def test_unloadable_model_is_exit_2_and_not_written(self, workdir, tmp_path, capsys, case):
+    def test_unloadable_model_is_exit_2_and_not_written(
+        self, workdir, tmp_path, capsys, command, case, select
+    ):
         _, cfg = workdir
+        if select:
+            cfg = tmp_path / "sel.cfg"
+            cfg.write_text(SMALL_CONFIG + select)
         feats = tmp_path / "f.csv"
         feats.write_text(_unloadable_csv(case), encoding="utf-8")
-        model = tmp_path / "m.txt"
-        argv = ["train", "--config", cfg, "--features", str(feats), "--out", str(model)]
-        # 1e308 overflows the variance; numpy warns, and the model check rejects the inf
-        with pytest.warns(RuntimeWarning) if case == "overflow" else contextlib.nullcontext():
-            assert run(argv) == 2
-        assert not model.exists()
+        argv, outputs = _command(command, str(cfg), feats, tmp_path)
+        assert run(argv) == 2
+        assert not any(p.exists() for p in outputs)
         captured = capsys.readouterr()
-        assert "error: " in captured.err
+        assert captured.err.count("error: ") == 1
         assert "Traceback" not in captured.err
+        # 1e308 overflows numpy's variance; the model check rejects the inf, and no warning shows
+        assert "Warning" not in captured.err
+        assert captured.out == ""
+
+    def test_predict_on_overflowing_rows_is_quiet_and_unchanged(self, workdir, tmp_path, capsys):
+        _, cfg = workdir
+        feats = tmp_path / "big.csv"
+        feats.write_text("id,label,a,b\n" + "".join(  # _small_csv with every a at 1e308
+            f"r{i},{('normal', 'suspicious')[i % 2]},1e308,{(i * 7) % 11 / 3}\n" for i in range(12)
+        ))
+        argv, (pred,) = _command("predict", cfg, feats, tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        # pinned bytes: silencing numpy's warnings must not move a score
+        assert pred.read_bytes() == (
+            b"id,score,label\nr0,0.3719540431257001,normal\nr1,0.5745102466304783,suspicious\n"
+            b"r2,0.4200639775759401,normal\nr3,0.7375215915980102,suspicious\n"
+            b"r4,0.526628430370209,suspicious\nr5,0.3977301442286104,normal\n"
+            b"r6,0.6821203028409036,suspicious\nr7,0.48457051688353997,normal\n"
+            b"r8,0.38176990590717347,normal\nr9,0.6269723467614755,suspicious\n"
+            b"r10,0.4489833255381699,normal\nr11,0.3719540431257001,normal\n"
+        )
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("prior normal 0.5", "prior normal nan"),
+            ("a 1.6666666666666667 ", "a nan "),
+            (" 2.222222222222222\n", " nan\n"),
+            ("prior normal 0.5\n", "prior normal 0.3\nprior normal 0.5\n"),
+        ],
+        ids=["nan-prior", "nan-mean", "nan-variance", "repeated-prior"],
+    )
+    def test_unscorable_model_file_is_exit_2(self, workdir, tmp_path, capsys, old, new):
+        _, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        argv, (pred,) = _command("predict", cfg, feats, tmp_path)
+        model = Path(argv[argv.index("--model") + 1])
+        text = model.read_text()
+        assert text.count(old) == 1  # the normal class's prior, or its mean or variance of a
+        model.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert not pred.exists()
+        captured = capsys.readouterr()
+        assert captured.err.count("error: ") == 1
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("newline, tail", [("\r", ""), ("\n", "\r\r")],
