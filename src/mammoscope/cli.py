@@ -46,9 +46,9 @@ from .preprocess import preprocess_pipeline
 
 
 def _read_text(path: str | Path, what: str) -> str:
-    """A UTF-8 text input, read in universal-newline mode."""
+    """A UTF-8 text input, byte-order mark or not, read in universal-newline mode."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise MammoscopeError(f"cannot read {what} {path}: {exc}") from None
 

@@ -118,7 +118,7 @@ def load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, source=str(path))

@@ -95,10 +95,6 @@ class LengthMismatchError(MammoscopeError):
     """Prediction and truth sequences differ in length."""
 
 
-class EmptyInputError(MammoscopeError):
-    """Metric requested over zero cases."""
-
-
 class NoPositivesError(MammoscopeError):
     """Sensitivity undefined: no positive cases (tp + fn = 0)."""
 

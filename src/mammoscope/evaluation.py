@@ -20,7 +20,6 @@ from . import bayes
 from .config import PipelineConfig
 from .errors import (
     DegenerateLabelsError,
-    EmptyInputError,
     LengthMismatchError,
     NoNegativesError,
     NoPositivesError,
@@ -50,16 +49,6 @@ def _tally(called: np.ndarray, positive: np.ndarray) -> ConfusionMatrix:
         tn=int(np.count_nonzero(~called & ~positive)),
         fn=int(np.count_nonzero(~called & positive)),
     )
-
-
-def confusion(pred, truth) -> ConfusionMatrix:
-    """Count the four outcomes of a binary screen (suspicious = positive)."""
-    called, positive = suspicious_mask(pred), suspicious_mask(truth)
-    if len(called) != len(positive):
-        raise LengthMismatchError(f"{len(called)} predictions vs {len(positive)} truths")
-    if not len(called):
-        raise EmptyInputError("no cases to tally")
-    return _tally(called, positive)
 
 
 def sensitivity(cm: ConfusionMatrix) -> float:
@@ -141,7 +130,6 @@ def kfold_indices(table: FeatureTable, k: int, seed: int) -> list[tuple[list[int
 
 @dataclass(frozen=True)
 class CvResult:
-    ids: tuple[str, ...]
     truth: tuple[str, ...]
     scores: tuple[float, ...]
     matrix: ConfusionMatrix
@@ -169,7 +157,6 @@ def run_cross_validation(table: FeatureTable, cfg: PipelineConfig) -> CvResult:
     called = suspicious_mask(bayes.decide(pooled, cfg.classifier_threshold))
     matrix = _tally(called, table.suspicious)
     return CvResult(
-        tuple(table.ids),
         tuple(table.labels),
         tuple(pooled.tolist()),
         matrix,

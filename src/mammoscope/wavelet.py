@@ -115,23 +115,6 @@ def _synthesize(
     return np.moveaxis(out, -1, axis)
 
 
-def dwt1d(signal, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis step on a 1-D signal of even length >= filter length."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("dwt1d expects a 1-D signal")
-    return _analyze(x, (filt.lowpass, filt.highpass), axis=0)
-
-
-def idwt1d(approx, detail, filt: WaveletFilter) -> np.ndarray:
-    """Exact inverse of dwt1d under periodic extension."""
-    a = np.asarray(approx, dtype=np.float64)
-    d = np.asarray(detail, dtype=np.float64)
-    if a.ndim != 1 or d.ndim != 1:
-        raise ValueError("idwt1d expects 1-D coefficient arrays")
-    return _synthesize(a, d, filt, axis=0)
-
-
 def dwt2d_level(matrix, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One 2-D level: rows first, then columns of each half.
 
@@ -155,18 +138,15 @@ def _idwt2d_level(
     return _synthesize(low_x, high_x, filt, axis=1)
 
 
-def pad_even(matrix) -> tuple[np.ndarray, tuple[int, int]]:
-    """Replicate the last row/column so both extents are even.
-
-    Returns the padded matrix and the original (height, width).
-    """
+def pad_even(matrix) -> np.ndarray:
+    """Replicate the last row/column so both extents are even."""
     m = np.asarray(matrix, dtype=np.float64)
     h, w = m.shape
     if h % 2:
         m = np.vstack([m, m[-1:, :]])
     if w % 2:
         m = np.hstack([m, m[:, -1:]])
-    return m, (h, w)
+    return m
 
 
 def dwt2d(matrix, filt: WaveletFilter, levels: int, details: bool = True) -> WaveletDecomposition:
@@ -186,7 +166,7 @@ def dwt2d(matrix, filt: WaveletFilter, levels: int, details: bool = True) -> Wav
     bands: list[dict[str, np.ndarray]] = []
     current = m
     for _ in range(levels):
-        current, _ = pad_even(current)
+        current = pad_even(current)
         if min(current.shape) < len(filt):
             raise TooManyLevelsError(
                 f"{levels} levels exhaust a {m.shape[0]}x{m.shape[1]} input for filter {filt.name}"

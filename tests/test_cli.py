@@ -5,6 +5,7 @@ import csv
 import io
 import multiprocessing
 import os
+import shutil
 import stat
 import threading
 from concurrent.futures import Future
@@ -728,6 +729,58 @@ class TestEvaluateCommand:
         bad = tmp_path / "one_class.csv"
         bad.write_text("\n".join(only_normal) + "\n")
         assert run(["evaluate", "--config", cfg, "--features", str(bad)]) == 2
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _runs_without_and_with_bom(source, argv, outputs, capsys):
+    """Exit status, stdout and output bytes of ``argv``, run on ``source`` as it is and
+    then with a UTF-8 byte-order mark in front; an output directory counts as its files."""
+    text = source.read_bytes()
+    runs = []
+    for prefix in (b"", BOM):
+        source.write_bytes(prefix + text)
+        for out in outputs:
+            if out.is_dir():
+                shutil.rmtree(out)
+            else:
+                out.unlink(missing_ok=True)
+        capsys.readouterr()
+        status = run(argv)
+        files = [f for out in outputs for f in (sorted(out.glob("*")) or [out]) if f.exists()]
+        runs.append((status, capsys.readouterr().out, {f.name: f.read_bytes() for f in files}))
+    return runs
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark on a text input changes no output byte."""
+
+    def test_config(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        argv = ["phantom", "--config", cfg, "--out", str(out)]
+        plain, marked = _runs_without_and_with_bom(Path(cfg), argv, [out], capsys)
+        assert plain[0] == 0 and len(plain[2]) == 13 and plain == marked
+
+    def test_manifest(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        assert run(["phantom", "--config", cfg, "--out", str(out)]) == 0
+        feats = tmp_path / "features.csv"
+        argv = ["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
+                "--out", str(feats)]
+        plain, marked = _runs_without_and_with_bom(out / "manifest.csv", argv, [feats], capsys)
+        assert plain[0] == 0 and plain[2] and plain == marked
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_feature_csv(self, workdir, tmp_path, capsys, command):
+        _, cfg = workdir
+        feats = tmp_path / "features.csv"
+        feats.write_text(_small_csv())
+        argv, outputs = _command(command, cfg, feats, tmp_path)
+        plain, marked = _runs_without_and_with_bom(feats, argv, outputs, capsys)
+        assert plain[0] == 0 and len(plain[2]) == len(outputs) and plain == marked
 
 
 def _writes_a_file(call: ast.Call) -> bool:

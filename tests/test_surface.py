@@ -1,0 +1,108 @@
+"""The public surface is what the CLI, perfbench and the acceptance suite call.
+
+Every module-level ``def`` and ``class`` in ``src/mammoscope`` whose name
+has no leading underscore must be reached from outside its own
+definition: by a use in the package (a name in its own module, a relative
+import, or ``module.name``), or by an import or ``module.name`` in
+``perfbench/*.py`` or ``tests/test_acceptance.py``. Unit tests do not
+count, so code that only they call is flagged for deletion.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = "mammoscope"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reached(tree: ast.Module, module: str | None, modules: set[str]) -> set[tuple[str, str]]:
+    """(module, name) pairs that ``tree`` reaches; ``module`` is its own package module, if any."""
+    aliases = {}  # local name -> package module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (PACKAGE, None) and node.level <= 1:
+            aliases.update((a.asname or a.name, a.name) for a in node.names if a.name in modules)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname and a.name.startswith(PACKAGE + "."):
+                    aliases[a.asname] = a.name.split(".", 1)[1]
+
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 1 and module is not None:
+                found.update((source, a.name) for a in node.names)
+            elif node.level == 0 and source.startswith(PACKAGE + "."):
+                found.update((source.split(".", 1)[1], a.name) for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                found.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and module is not None and node.id != own:
+            found.add((module, node.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, DEFS) else None
+        visit(stmt, own)
+    return found
+
+
+def unreached(package: dict[str, str], outside: list[str]) -> list[str]:
+    """``module.name`` of each public top-level def or class that nothing reaches.
+
+    ``package`` maps module names to their source; ``outside`` holds the
+    sources of the callers that count besides the package itself.
+    """
+    modules = set(package)
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    reached = set()
+    for name, tree in trees.items():
+        reached |= _reached(tree, name, modules)
+    for source in outside:
+        reached |= _reached(ast.parse(source), None, modules)
+    return sorted(
+        f"{name}.{stmt.name}"
+        for name, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, DEFS)
+        and not stmt.name.startswith("_")
+        and (name, stmt.name) not in reached
+    )
+
+
+class TestSurface:
+    @pytest.mark.parametrize("package, outside, flagged", [
+        ({"m": "def f(): pass\n"}, [], ["m.f"]),
+        ({"m": "def _f(): pass\n"}, [], []),
+        ({"m": "def f(): pass\ndef g(): f()\n"}, ["from mammoscope.m import g"], []),
+        ({"m": "def f(): return f()\n"}, [], ["m.f"]),
+        ({"m": "class C:\n    def copy(self): return C()\n"}, [], ["m.C"]),
+        ({"m": "def f(): pass\n", "n": "from .m import f\n"}, [], []),
+        ({"m": "def f(): pass\n", "n": "from . import m\nm.f()\n"}, [], []),
+        ({"m": "def f(): pass\n"}, ["from mammoscope import m\nm.f()\n"], []),
+        ({"m": "def f(): pass\n"}, ["import mammoscope.m as mm\nmm.f()\n"], []),
+        ({"m": "def f(): pass\n"}, ["from mammoscope import n\nn.f()\n"], ["m.f"]),
+        ({"m": "def f(): pass\n"}, ["m.f()\n"], ["m.f"]),
+        ({"m": "def f(): pass\n", "n": "f = 1\nf\n"}, [], ["m.f"]),
+    ])
+    def test_detector(self, package, outside, flagged):
+        assert unreached(package, outside) == flagged
+
+    def test_unit_test_use_is_not_a_reach(self):
+        """A def only a unit test calls is flagged; one perfbench calls as module.attr is not."""
+        package = {"wavelet": "def dwt1d(): pass\ndef dwt2d(): pass\n"}
+        perfbench = "from mammoscope import wavelet\nwavelet.dwt2d()\n"
+        assert unreached(package, [perfbench]) == ["wavelet.dwt1d"]
+
+    def test_every_public_name_is_reached(self):
+        package = {
+            path.stem: path.read_text(encoding="utf-8")
+            for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+        }
+        callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests/test_acceptance.py"]
+        assert unreached(package, [path.read_text(encoding="utf-8") for path in callers]) == []
