@@ -2,7 +2,7 @@
 
 Class posteriors follow Bayes' rule with conditionally independent
 features, each a Gaussian fitted by population mean and variance. A model,
-read or fitted, that cannot score rows raises CorruptModelError. Evaluation
+read or fitted, that cannot score rows raises MammoscopeError. Evaluation
 happens in log space, each log-density term floored near the smallest
 representable magnitude, and the normalized posteriors are kept strictly
 inside (0, 1) so downstream ratio work never sees an exact 0 or 1.
@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorruptModelError,
-    FeatureMismatchError,
-    MissingClassError,
-    UnknownVersionError,
-)
+from .errors import MammoscopeError
 from .features import LABELS, NORMAL, SUSPICIOUS, FeatureTable, FeatureVector
 
 MODEL_VERSION = 1
@@ -41,13 +36,13 @@ class GaussianNbModel:
 
     def __post_init__(self):
         if not self.feature_names or len(set(self.feature_names)) != len(self.feature_names):
-            raise CorruptModelError(f"feature names {self.feature_names} are empty or repeat")
+            raise MammoscopeError(f"feature names {self.feature_names} are empty or repeat")
         if not all(np.isfinite(a).all() for a in (self.priors, self.means, self.variances)):
-            raise CorruptModelError("non-finite model parameter")
+            raise MammoscopeError("non-finite model parameter")
         if self.priors.min() <= 0.0 or abs(self.priors.sum() - 1.0) > 1e-12:
-            raise CorruptModelError("priors must be positive and sum to 1")
+            raise MammoscopeError("priors must be positive and sum to 1")
         if self.variances.min() < VARIANCE_FLOOR:
-            raise CorruptModelError(f"variance below floor {VARIANCE_FLOOR}")
+            raise MammoscopeError(f"variance below floor {VARIANCE_FLOOR}")
 
 
 def train(table: FeatureTable) -> GaussianNbModel:
@@ -60,7 +55,7 @@ def train(table: FeatureTable) -> GaussianNbModel:
     per_class = [table.values[~table.suspicious], table.values[table.suspicious]]
     for label, rows in zip(LABELS, per_class):
         if len(rows) == 0:
-            raise MissingClassError(f"no rows labeled {label!r}")
+            raise MammoscopeError(f"no rows labeled {label!r}")
     priors = np.array([len(rows) / table.n_rows for rows in per_class])
     floor = np.maximum(1e-9 * table.values.var(axis=0), VARIANCE_FLOOR)
     means = np.stack([rows.mean(axis=0) for rows in per_class])
@@ -79,7 +74,7 @@ def _normalize_log_probs(log_probs: np.ndarray) -> np.ndarray:
 def _class_probs(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
     """P(class | row) for every row of an (n, f) matrix, shape (n, 2)."""
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
-        raise FeatureMismatchError(
+        raise MammoscopeError(
             f"{X.shape} matrix does not match {len(model.feature_names)} model features"
         )
     # (n, 2, f): the per-feature sum runs over the contiguous last axis,
@@ -108,7 +103,7 @@ def decide(score, threshold: float) -> np.ndarray:
 def posterior(model: GaussianNbModel, x: FeatureVector) -> dict[str, float]:
     """P(class | x) for both classes; values sum to 1."""
     if x.names != model.feature_names:
-        raise FeatureMismatchError(
+        raise MammoscopeError(
             f"feature names {x.names} do not match model {model.feature_names}"
         )
     probs = _class_probs(model, x.values[None, :])[0]
@@ -131,7 +126,7 @@ def save_model(model: GaussianNbModel) -> bytes:
     """Line-oriented text encoding with full round-trip float precision;
     each feature name must be one ASCII token, as :func:`load_model` splits."""
     if not all(name.isascii() and name.split() == [name] for name in model.feature_names):
-        raise CorruptModelError(f"feature names {model.feature_names} do not fit a model file")
+        raise MammoscopeError(f"feature names {model.feature_names} do not fit a model file")
     lines = [f"nbmodel v{MODEL_VERSION}"]
     for label, prior in zip(model.classes, model.priors):
         lines.append(f"prior {label} {float(prior)!r}")
@@ -148,14 +143,14 @@ def load_model(data: bytes) -> GaussianNbModel:
     try:
         lines = data.decode("ascii").splitlines()
     except UnicodeDecodeError:
-        raise CorruptModelError("model file is not ASCII text") from None
+        raise MammoscopeError("model file is not ASCII text") from None
     if not lines:
-        raise CorruptModelError("empty model file")
+        raise MammoscopeError("empty model file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "nbmodel" or not head[1].startswith("v"):
-        raise CorruptModelError(f"bad header line {lines[0]!r}")
+        raise MammoscopeError(f"bad header line {lines[0]!r}")
     if head[1] != f"v{MODEL_VERSION}":
-        raise UnknownVersionError(f"unsupported model version {head[1]!r}")
+        raise MammoscopeError(f"unsupported model version {head[1]!r}")
 
     priors: dict[str, float] = {}
     gauss: dict[str, list[tuple[str, float, float]]] = {label: [] for label in LABELS}
@@ -169,17 +164,17 @@ def load_model(data: bytes) -> GaussianNbModel:
             elif parts[0] == "gauss" and len(parts) == 5:
                 gauss[parts[1]].append((parts[2], float(parts[3]), float(parts[4])))
             else:
-                raise CorruptModelError(f"unreadable record {line!r}")
+                raise MammoscopeError(f"unreadable record {line!r}")
         except (ValueError, KeyError):
-            raise CorruptModelError(f"unreadable record {line!r}") from None
+            raise MammoscopeError(f"unreadable record {line!r}") from None
 
     if set(priors) != set(LABELS):
-        raise CorruptModelError(f"priors present for {sorted(priors)}, need {LABELS}")
+        raise MammoscopeError(f"priors present for {sorted(priors)}, need {LABELS}")
     prior_values = np.array([priors[label] for label in LABELS])
 
     name_lists = [tuple(name for name, _, _ in gauss[label]) for label in LABELS]
     if name_lists[0] != name_lists[1]:
-        raise CorruptModelError("gauss records inconsistent across classes")
+        raise MammoscopeError("gauss records inconsistent across classes")
 
     means = np.array([[m for _, m, _ in gauss[label]] for label in LABELS])
     variances = np.array([[v for _, _, v in gauss[label]] for label in LABELS])

@@ -109,12 +109,15 @@ def _extract_one(path: str, cfg: PipelineConfig) -> FeatureVector | str:
 
 def cmd_phantom(args) -> int:
     cfg = load_config(args.config)
+    try:  # render first, so a size too large to render leaves no output behind
+        items = phantom.render_set(cfg.phantom)
+    except (MemoryError, ValueError) as exc:
+        raise MammoscopeError(f"cannot render phantom set: {exc}") from None
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise MammoscopeError(f"cannot write phantom set: {exc}") from None
-    items = phantom.render_set(cfg.phantom)
     for name, _, img in items:
         _write_output(out_dir / name, write_pgm(img, maxval=255, binary=True))
     manifest = "path,label\n" + "".join(f"{name},{label}\n" for name, label, _ in items)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import MammoscopeError
 from .features import FEATURE_MODES, FeatureConfig
 from .phantom import PhantomConfig
 from .preprocess import PreprocessConfig
@@ -79,16 +79,16 @@ def parse_config(text: str, source: str = "<config>") -> PipelineConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key = value, got {raw_line!r}")
+            raise MammoscopeError(f"{source}:{lineno}: expected key = value, got {raw_line!r}")
         key, _, raw_value = map(str.strip, line.partition("="))
         if key not in unseen:
             problem = "duplicate" if key in _KEYS else "unknown"
-            raise ConfigError(f"{source}:{lineno}: {problem} key {key!r}")
+            raise MammoscopeError(f"{source}:{lineno}: {problem} key {key!r}")
         field, attr, parse = unseen.pop(key)
         try:
             value = parse(raw_value)
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
+            raise MammoscopeError(f"{source}:{lineno}: {key}: {exc}") from None
         if attr is not None:
             value = replace(getattr(cfg, field), **{attr: value})
         cfg = replace(cfg, **{field: value})
@@ -98,19 +98,19 @@ def parse_config(text: str, source: str = "<config>") -> PipelineConfig:
 
 def _validate(cfg: PipelineConfig, source: str) -> None:
     if not 0.0 <= cfg.preprocess.threshold <= 1.0:
-        raise ConfigError(f"{source}: preprocess.threshold must lie in [0, 1]")
+        raise MammoscopeError(f"{source}: preprocess.threshold must lie in [0, 1]")
     if cfg.features.levels < 1:
-        raise ConfigError(f"{source}: wavelet.levels must be >= 1")
+        raise MammoscopeError(f"{source}: wavelet.levels must be >= 1")
     if not 0.0 < cfg.classifier_threshold < 1.0:
-        raise ConfigError(f"{source}: classifier.threshold must lie in (0, 1)")
+        raise MammoscopeError(f"{source}: classifier.threshold must lie in (0, 1)")
     if cfg.cv_folds < 2:
-        raise ConfigError(f"{source}: cv.k must be >= 2")
+        raise MammoscopeError(f"{source}: cv.k must be >= 2")
     if cfg.select_k is not None and cfg.select_k < 1:
-        raise ConfigError(f"{source}: select.k must be >= 1")
+        raise MammoscopeError(f"{source}: select.k must be >= 1")
     try:
         cfg.phantom.validate()
     except ValueError as exc:
-        raise ConfigError(f"{source}: phantom: {exc}") from None
+        raise MammoscopeError(f"{source}: phantom: {exc}") from None
 
 
 def load_config(path: str | None) -> PipelineConfig:
@@ -120,5 +120,5 @@ def load_config(path: str | None) -> PipelineConfig:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise MammoscopeError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, source=str(path))

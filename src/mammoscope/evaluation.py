@@ -18,13 +18,7 @@ import numpy as np
 
 from . import bayes
 from .config import PipelineConfig
-from .errors import (
-    DegenerateLabelsError,
-    LengthMismatchError,
-    NoNegativesError,
-    NoPositivesError,
-    TooFewRowsError,
-)
+from .errors import MammoscopeError
 from .features import LABELS, SUSPICIOUS, FeatureTable, select_features, suspicious_mask
 from .rng import Rng
 
@@ -54,14 +48,14 @@ def _tally(called: np.ndarray, positive: np.ndarray) -> ConfusionMatrix:
 def sensitivity(cm: ConfusionMatrix) -> float:
     """True positive rate tp / (tp + fn)."""
     if cm.tp + cm.fn == 0:
-        raise NoPositivesError("sensitivity undefined without positive cases")
+        raise MammoscopeError("sensitivity undefined without positive cases")
     return cm.tp / (cm.tp + cm.fn)
 
 
 def specificity(cm: ConfusionMatrix) -> float:
     """True negative rate tn / (tn + fp)."""
     if cm.tn + cm.fp == 0:
-        raise NoNegativesError("specificity undefined without negative cases")
+        raise MammoscopeError("specificity undefined without negative cases")
     return cm.tn / (cm.tn + cm.fp)
 
 
@@ -90,11 +84,11 @@ def roc(scores, truth) -> RocCurve:
     scores = np.array(scores, dtype=np.float64)
     positive = suspicious_mask(truth)
     if len(scores) != len(positive):
-        raise LengthMismatchError(f"{len(scores)} scores vs {len(positive)} truths")
+        raise MammoscopeError(f"{len(scores)} scores vs {len(positive)} truths")
     n_pos = int(np.count_nonzero(positive))
     n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError("ROC needs at least one case of each class")
+        raise MammoscopeError("ROC needs at least one case of each class")
 
     order = np.argsort(-scores, kind="stable")
     ranked, hits = scores[order], positive[order]
@@ -120,7 +114,7 @@ def kfold_indices(table: FeatureTable, k: int, seed: int) -> list[tuple[list[int
     for label in LABELS:
         indices = np.flatnonzero(table.suspicious == (label == SUSPICIOUS)).tolist()
         if len(indices) < k:
-            raise TooFewRowsError(f"class {label!r} has {len(indices)} rows, needs >= {k}")
+            raise MammoscopeError(f"class {label!r} has {len(indices)} rows, needs >= {k}")
         rng.shuffle(indices)
         fold[indices] = np.arange(len(indices)) % k
     return [

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import BadKError, EmptyMapError, InsufficientDataError
+from .errors import MammoscopeError
 from .fourier import fft2d, half_log_magnitude
 from .imgio import GrayImage
 from .wavelet import DETAIL_BANDS, get_filter, dwt2d
@@ -47,7 +47,7 @@ def suspicious_mask(labels, ids=None) -> np.ndarray:
 def _as_map(values) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)
     if a.size == 0:
-        raise EmptyMapError("statistic over an empty map")
+        raise MammoscopeError("statistic over an empty map")
     return a
 
 
@@ -389,11 +389,11 @@ def select_features(table: FeatureTable, k: int) -> list[str]:
     """
     n_features = len(table.names)
     if not 1 <= k <= n_features:
-        raise BadKError(f"k={k} outside 1..{n_features}")
+        raise MammoscopeError(f"k={k} outside 1..{n_features}")
     pos = table.values[table.suspicious]
     neg = table.values[~table.suspicious]
     if len(pos) < 2 or len(neg) < 2:
-        raise InsufficientDataError("need at least 2 rows per class to rank features")
+        raise MammoscopeError("need at least 2 rows per class to rank features")
     score = (pos.mean(axis=0) - neg.mean(axis=0)) ** 2 / (
         pos.var(axis=0) + neg.var(axis=0) + 1e-12
     )

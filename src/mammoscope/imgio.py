@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MalformedHeaderError,
-    SampleOutOfRangeError,
-    TruncatedDataError,
-)
+from .errors import MammoscopeError
 
 MAX_MAXVAL = 65535
 
@@ -59,43 +55,45 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
-    try:
-        value = int(token)
-    except ValueError:
-        raise MalformedHeaderError(f"non-numeric {what} token {token!r}") from None
-    return value, pos
+    if not token.isdigit():
+        raise MammoscopeError(f"non-numeric {what} token {token!r}")
+    return int(token), pos
 
 
 def read_pgm(data: bytes) -> RawImage:
     """Parse P2/P5 bytes into a RawImage.
 
-    Raises MalformedHeaderError, TruncatedDataError or
-    SampleOutOfRangeError per the failure.
+    Header fields and P2 samples are ASCII decimal digits. Raises
+    MammoscopeError naming the failure: a bad header, missing samples, or
+    a sample that is not digits or exceeds maxval.
     """
     magic, pos = _next_token(data, 0)
     if magic not in (b"P2", b"P5"):
-        raise MalformedHeaderError(f"unsupported magic {magic!r}; expected P2 or P5")
+        raise MammoscopeError(f"unsupported magic {magic!r}; expected P2 or P5")
     width, pos = _header_int(data, pos, "width")
     height, pos = _header_int(data, pos, "height")
     maxval, pos = _header_int(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise MalformedHeaderError(f"non-positive dimensions {width}x{height}")
+        raise MammoscopeError(f"non-positive dimensions {width}x{height}")
     if not 1 <= maxval <= MAX_MAXVAL:
-        raise MalformedHeaderError(f"maxval {maxval} outside 1..{MAX_MAXVAL}")
+        raise MammoscopeError(f"maxval {maxval} outside 1..{MAX_MAXVAL}")
 
     count = width * height
     if magic == b"P2":
-        tokens = re.sub(rb"#[^\n]*", b"", data[pos:]).split()[:count]
+        payload = re.sub(rb"#[^\n]*", b"", data[pos:])
+        tokens = payload.split()[:count]
         try:
             samples = np.array(list(map(int, tokens)), dtype=np.int64)
         except ValueError as exc:
-            raise TruncatedDataError(f"unreadable sample token: {exc}") from None
+            raise MammoscopeError(f"unreadable sample token: {exc}") from None
         except OverflowError:
-            raise SampleOutOfRangeError(f"sample outside 0..{maxval}") from None
+            raise MammoscopeError(f"sample outside 0..{maxval}") from None
         if len(tokens) < count:
-            raise TruncatedDataError(f"expected {count} samples, got {len(tokens)}")
-        if samples.min() < 0:
-            raise TruncatedDataError("negative sample value")
+            raise MammoscopeError(f"expected {count} samples, got {len(tokens)}")
+        # int() also reads a sign and '_' digit separators, the only non-digits it takes
+        if any(c in payload for c in (b"+", b"-", b"_")) and not b"".join(tokens).isdigit():
+            bad = next(t for t in tokens if not t.isdigit())
+            raise MammoscopeError(f"sample token {bad!r} is not ASCII decimal digits")
     else:
         # exactly one whitespace byte separates maxval from the binary payload
         start = pos + 1
@@ -103,12 +101,12 @@ def read_pgm(data: bytes) -> RawImage:
         needed = dtype.itemsize * count
         available = max(len(data) - start, 0)
         if available < needed:
-            raise TruncatedDataError(f"expected {needed} bytes, got {available}")
+            raise MammoscopeError(f"expected {needed} bytes, got {available}")
         samples = np.frombuffer(data, dtype, count, start)
         samples = samples.astype(dtype.newbyteorder("="), copy=False)
 
     if samples.max() > maxval:
-        raise SampleOutOfRangeError(
+        raise MammoscopeError(
             f"sample {int(samples.max())} exceeds maxval {maxval}"
         )
     return RawImage(width, height, maxval, samples)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateImageError, DimensionMismatchError
+from .errors import MammoscopeError
 from .imgio import GrayImage
 
 # 4-neighborhood: cheapest connectivity that separates diagonal-touching blobs
@@ -71,7 +71,7 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
 def apply_mask(img: GrayImage, mask: np.ndarray) -> GrayImage:
     """Zero every pixel outside the boolean mask."""
     if img.pixels.shape != mask.shape:
-        raise DimensionMismatchError(f"image {img.pixels.shape} vs mask {mask.shape}")
+        raise MammoscopeError(f"image {img.pixels.shape} vs mask {mask.shape}")
     return GrayImage(img.pixels * mask)
 
 
@@ -79,7 +79,7 @@ def normalize_intensity(img: GrayImage) -> GrayImage:
     """Scale so the brightest pixel is exactly 1.0."""
     peak = float(img.pixels.max())
     if peak <= 0.0:
-        raise DegenerateImageError("image has no positive intensity to normalize")
+        raise MammoscopeError("image has no positive intensity to normalize")
     return GrayImage(img.pixels / peak)
 
 

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    MalformedDecompositionError,
-    OddLengthError,
-    SignalTooShortError,
-    TooManyLevelsError,
-)
+from .errors import MammoscopeError
 
 FILTER_NAMES = ("haar", "daub4")
 
@@ -82,9 +76,9 @@ def _analyze(values: np.ndarray, taps: tuple[np.ndarray, ...], axis: int) -> tup
     n = x.shape[axis]
     length = len(taps[0])
     if n % 2:
-        raise OddLengthError(f"extent {n} is odd; pad to even first")
+        raise MammoscopeError(f"extent {n} is odd; pad to even first")
     if n < length:
-        raise SignalTooShortError(f"extent {n} shorter than filter length {length}")
+        raise MammoscopeError(f"extent {n} shorter than filter length {length}")
     # periodic extension along axis: taps j, j+2, .. j+n-2 hold s[(2k + j) mod n] for every k
     ext = np.concatenate([x, np.take(x, range(length - 1), axis=axis)], axis=axis)
     shape = list(x.shape)
@@ -104,7 +98,7 @@ def _synthesize(
     a = np.moveaxis(np.asarray(approx, dtype=np.float64), axis, -1)
     d = np.moveaxis(np.asarray(detail, dtype=np.float64), axis, -1)
     if a.shape != d.shape:
-        raise DimensionMismatchError(f"approx {a.shape} vs detail {d.shape}")
+        raise MammoscopeError(f"approx {a.shape} vs detail {d.shape}")
     half = a.shape[-1]
     n = 2 * half
     out = np.zeros(a.shape[:-1] + (n,))
@@ -153,7 +147,7 @@ def dwt2d(matrix, filt: WaveletFilter, levels: int, details: bool = True) -> Wav
     """Multi-level decomposition, recursing on the LL band.
 
     Each level pads its input to even extents first; the run is rejected
-    with TooManyLevelsError if any level would see an extent shorter than
+    with MammoscopeError if any level would see an extent shorter than
     the filter. With ``details`` False only the lowpass chain runs, rows
     then columns, and the decomposition carries no detail bands.
     """
@@ -168,7 +162,7 @@ def dwt2d(matrix, filt: WaveletFilter, levels: int, details: bool = True) -> Wav
     for _ in range(levels):
         current = pad_even(current)
         if min(current.shape) < len(filt):
-            raise TooManyLevelsError(
+            raise MammoscopeError(
                 f"{levels} levels exhaust a {m.shape[0]}x{m.shape[1]} input for filter {filt.name}"
             )
         if details:
@@ -183,7 +177,7 @@ def dwt2d(matrix, filt: WaveletFilter, levels: int, details: bool = True) -> Wav
 def idwt2d(decomp: WaveletDecomposition) -> np.ndarray:
     """Invert dwt2d, returning the (top-level padded) input matrix."""
     if len(decomp.details) != decomp.levels:
-        raise MalformedDecompositionError(
+        raise MammoscopeError(
             f"{len(decomp.details)} detail levels for a {decomp.levels}-level decomposition"
         )
     current = decomp.approx
@@ -191,11 +185,11 @@ def idwt2d(decomp: WaveletDecomposition) -> np.ndarray:
         bands = decomp.details[level - 1]
         hl, lh, hh = bands["HL"], bands["LH"], bands["HH"]
         if hl.shape != lh.shape or hl.shape != hh.shape:
-            raise MalformedDecompositionError(f"detail shapes differ at level {level}")
+            raise MammoscopeError(f"detail shapes differ at level {level}")
         target = hl.shape
         if current.shape != target:
             if current.shape[0] < target[0] or current.shape[1] < target[1]:
-                raise MalformedDecompositionError(
+                raise MammoscopeError(
                     f"approximation {current.shape} smaller than details {target}"
                 )
             current = current[: target[0], : target[1]]

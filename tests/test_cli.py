@@ -16,7 +16,7 @@ import pytest
 
 from mammoscope import cli
 from mammoscope.config import load_config, parse_config
-from mammoscope.errors import ConfigError
+from mammoscope.errors import MammoscopeError
 
 SMALL_CONFIG = """\
 # desk-scale run
@@ -88,19 +88,19 @@ class TestConfig:
         assert cfg.phantom.count_per_class == 6
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(MammoscopeError, match="unknown key"):
             parse_config("wavelet.depth = 3")
 
     def test_bad_value(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(MammoscopeError, match="wavelet.filter: expected one of"):
             parse_config("wavelet.filter = sym8")
-        with pytest.raises(ConfigError):
+        with pytest.raises(MammoscopeError, match="preprocess.orient: expected on/off"):
             parse_config("preprocess.orient = yes")
-        with pytest.raises(ConfigError):
+        with pytest.raises(MammoscopeError, match="classifier.threshold must lie in"):
             parse_config("classifier.threshold = 1.5")
 
     def test_duplicate_key(self):
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(MammoscopeError, match="duplicate"):
             parse_config("cv.k = 2\ncv.k = 3")
 
     def test_missing_file_is_exit_2(self, tmp_path):
@@ -124,6 +124,28 @@ class TestPhantomCommand:
         status = run(["phantom", "--config", cfg, "--out", str(blocker / "sub")])
         assert status == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unrenderable_size_is_exit_2_and_writes_nothing(self, workdir, capsys):
+        tmp_path, _ = workdir
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("phantom.size = 48", f"phantom.size = {10**30}"))
+        out = tmp_path / "images"
+        assert run(["phantom", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot render phantom set: ")
+        assert not out.exists()
+
+    def test_out_of_memory_is_exit_2_and_writes_nothing(self, workdir, capsys, monkeypatch):
+        tmp_path, cfg = workdir
+
+        def out_of_memory(phantom_cfg):
+            raise MemoryError("simulated allocation failure")
+
+        monkeypatch.setattr(cli.phantom, "render_set", out_of_memory)
+        out = tmp_path / "images"
+        assert run(["phantom", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot render phantom set: simulated allocation failure\n"
+        assert not out.exists()
 
 
 class TestExtractCommand:

@@ -8,7 +8,7 @@ import pytest
 
 from mammoscope import cli, config
 from mammoscope.config import PipelineConfig, load_config, parse_config
-from mammoscope.errors import ConfigError
+from mammoscope.errors import MammoscopeError
 
 DEFAULT = PipelineConfig()
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -105,7 +105,7 @@ class TestLineSyntax:
         assert parse_config(text) == replace(DEFAULT, cv_folds=3, cv_seed=9)
 
     def test_value_after_first_equals_sign(self):
-        with pytest.raises(ConfigError, match=re.escape("<config>:1: cv.k: invalid literal")):
+        with pytest.raises(MammoscopeError, match=re.escape("<config>:1: cv.k: invalid literal")):
             parse_config("cv.k = 3 = 4")
 
     @pytest.mark.parametrize(
@@ -121,12 +121,12 @@ class TestLineSyntax:
         ],
     )
     def test_line_errors(self, text, message):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(MammoscopeError) as info:
             parse_config(text)
         assert str(info.value) == message
 
     def test_source_names_the_file(self):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(MammoscopeError) as info:
             parse_config("a = 1", source="run.cfg")
         assert str(info.value) == "run.cfg:1: unknown key 'a'"
 
@@ -151,14 +151,14 @@ class TestParserErrors:
         ],
     )
     def test_parser_message(self, line, message):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(MammoscopeError) as info:
             parse_config(line)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "infinity"])
     def test_non_finite_float_is_rejected(self, key, raw):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(MammoscopeError) as info:
             parse_config(f"# header\n{key} = {raw}")
         assert str(info.value) == f"<config>:2: {key}: expected a finite number, got {raw!r}"
 
@@ -178,26 +178,26 @@ class TestValidation:
         ],
     )
     def test_rule_message(self, text, message):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(MammoscopeError) as info:
             parse_config(text)
         assert str(info.value) == message
 
 
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read config"):
+        with pytest.raises(MammoscopeError, match="cannot read config"):
             load_config(str(tmp_path / "nope.cfg"))
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"cv.k = 3 # \xff\n")
-        with pytest.raises(ConfigError, match="cannot read config"):
+        with pytest.raises(MammoscopeError, match="cannot read config"):
             load_config(str(path))
 
     def test_source_is_the_path(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("cv.k = 3\ncv.k = 4\n", encoding="utf-8")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(MammoscopeError) as info:
             load_config(str(path))
         assert str(info.value) == f"{path}:2: duplicate key 'cv.k'"
 

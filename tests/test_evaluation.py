@@ -15,13 +15,7 @@ import pytest
 
 from mammoscope import bayes
 from mammoscope.config import PipelineConfig
-from mammoscope.errors import (
-    DegenerateLabelsError,
-    LengthMismatchError,
-    NoNegativesError,
-    NoPositivesError,
-    TooFewRowsError,
-)
+from mammoscope.errors import MammoscopeError
 from mammoscope.evaluation import (
     ConfusionMatrix,
     _tally,
@@ -101,9 +95,9 @@ class TestRates:
         assert specificity(ConfusionMatrix(0, 5, 0, 0)) == 0.0
 
     def test_undefined(self):
-        with pytest.raises(NoPositivesError):
+        with pytest.raises(MammoscopeError, match="sensitivity undefined without positive cases"):
             sensitivity(ConfusionMatrix(0, 1, 1, 0))
-        with pytest.raises(NoNegativesError):
+        with pytest.raises(MammoscopeError, match="specificity undefined without negative cases"):
             specificity(ConfusionMatrix(1, 0, 0, 1))
 
 
@@ -193,11 +187,11 @@ class TestRoc:
         assert abs(forward + backward - 1.0) < 1e-12
 
     def test_degenerate_labels(self):
-        with pytest.raises(DegenerateLabelsError):
+        with pytest.raises(MammoscopeError, match="ROC needs at least one case of each class"):
             roc([0.1, 0.2], [S, S])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(MammoscopeError, match="1 scores vs 2 truths"):
             roc([0.1], [S, N])
 
     @pytest.mark.parametrize("label", ["suspicious\x00", "normal ", "Suspicious"])
@@ -291,7 +285,7 @@ class TestKfold:
             assert all(type(row) is int for train, test in splits for row in train + test)
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRowsError):
+        with pytest.raises(MammoscopeError, match="class 'normal' has 3 rows, needs >= 5"):
             kfold_indices(self.table(3, 10), 5, seed=0)
         with pytest.raises(ValueError):
             kfold_indices(self.table(5, 5), 1, seed=0)

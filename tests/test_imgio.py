@@ -1,16 +1,13 @@
 """Tests for PGM parsing, emission and the gray conversion."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mammoscope.errors import (
-    MalformedHeaderError,
-    MammoscopeError,
-    SampleOutOfRangeError,
-    TruncatedDataError,
-)
+from mammoscope.errors import MammoscopeError
 from mammoscope.imgio import GrayImage, RawImage, _next_token, read_pgm, to_gray, write_pgm
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
@@ -71,7 +68,7 @@ class TestReadPgm:
         assert read_pgm(b"P2\n2 1\n9\n3 9").samples.dtype == np.int64
 
     def test_unsupported_magic(self):
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(MammoscopeError, match="unsupported magic b'P7'"):
             read_pgm(b"P7\n2 2\n255\n0 0 0 0")
 
     def test_header_comments_anywhere(self):
@@ -81,42 +78,58 @@ class TestReadPgm:
         assert raw.samples.tolist() == [3, 4]
 
     def test_non_numeric_header_token(self):
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(MammoscopeError, match="non-numeric width token b'two'"):
             read_pgm(b"P2\ntwo 2\n255\n0 0")
 
     def test_truncated_ascii(self):
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(MammoscopeError, match="expected 4 samples, got 3"):
             read_pgm(b"P2\n2 2\n255\n0 255 128")
 
     def test_truncated_binary(self):
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(MammoscopeError, match="expected 4 bytes, got 3"):
             read_pgm(b"P5\n2 2\n255\n" + bytes([1, 2, 3]))
 
     def test_sample_above_maxval(self):
-        with pytest.raises(SampleOutOfRangeError):
+        with pytest.raises(MammoscopeError, match="sample 101 exceeds maxval 100"):
             read_pgm(b"P2\n1 1\n100\n101")
-        with pytest.raises(SampleOutOfRangeError):
+        with pytest.raises(MammoscopeError, match="sample 200 exceeds maxval 100"):
             read_pgm(b"P5\n1 1\n100\n" + bytes([200]))
 
     def test_sample_beyond_int64_is_out_of_range(self):
         for token in (b"99999999999999999999999", b"-99999999999999999999999"):
-            with pytest.raises(SampleOutOfRangeError):
+            with pytest.raises(MammoscopeError, match="sample outside 0..255"):
                 read_pgm(b"P2\n2 1\n255\n3 " + token)
 
     def test_unreadable_and_negative_samples(self):
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(MammoscopeError, match="unreadable sample token"):
             read_pgm(b"P2\n2 1\n255\n3 x")
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(MammoscopeError, match="sample token b'-1' is not ASCII decimal digits"):
             read_pgm(b"P2\n2 1\n255\n3 -1")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P2 2 1 255 1_0 3", "sample token b'1_0' is not ASCII decimal digits"),
+        (b"P2 2 1 255 3 +5", "sample token b'+5' is not ASCII decimal digits"),
+        (b"P2 2 1 255 -0 3", "sample token b'-0' is not ASCII decimal digits"),
+        (b"P2 1_0 1 255 " + b"0 " * 10, "non-numeric width token b'1_0'"),
+        (b"P2 2 +1 255 0 0", "non-numeric height token b'+1'"),
+        (b"P2 2 1 -0 0 0", "non-numeric maxval token b'-0'"),
+        (b"P5 2 1 2_55 AB", "non-numeric maxval token b'2_55'"),
+    ], ids=["sample-underscore", "sample-plus", "sample-minus-zero", "width-underscore",
+            "height-plus", "maxval-minus-zero", "p5-maxval-underscore"])
+    def test_integers_are_ascii_digits_only(self, data, message):
+        with pytest.raises(MammoscopeError, match=re.escape(message)):
+            read_pgm(data)
 
     def test_comments_inside_ascii_samples(self):
         raw = read_pgm(b"P2\n3 1\n255#c\n3#four\n4 # five\n5 ignored")
         assert raw.samples.tolist() == [3, 4, 5]
+        # a sign or '_' in a comment or past the last sample read is not a sample token
+        assert read_pgm(b"P2 2 1 255 # a-b_c+\n3 4 -1").samples.tolist() == [3, 4]
 
     def test_bad_dimensions_rejected(self):
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(MammoscopeError, match="non-positive dimensions 0x2"):
             read_pgm(b"P2\n0 2\n255\n")
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(MammoscopeError, match="maxval 70000 outside 1..65535"):
             read_pgm(b"P2\n1 1\n70000\n5")
 
 

@@ -6,12 +6,18 @@ definition: by a use in the package (a name in its own module, a relative
 import, or ``module.name``), or by an import or ``module.name`` in
 ``perfbench/*.py`` or ``tests/test_acceptance.py``. Unit tests do not
 count, so code that only they call is flagged for deletion.
+
+The package raises one exception type on bad input: its callers turn any
+failure into exit 2 or a per-image failure line, so none tells kinds apart.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from mammoscope.errors import MammoscopeError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "mammoscope"
@@ -106,3 +112,11 @@ class TestSurface:
         }
         callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests/test_acceptance.py"]
         assert unreached(package, [path.read_text(encoding="utf-8") for path in callers]) == []
+
+
+class TestOneErrorType:
+    def test_no_module_subclasses_the_error(self):
+        """Bad input raises ``MammoscopeError`` itself; its message names the problem."""
+        for path in sorted((ROOT / "src" / PACKAGE).glob("*.py")):
+            importlib.import_module(PACKAGE if path.stem == "__init__" else f"{PACKAGE}.{path.stem}")
+        assert MammoscopeError.__subclasses__() == []

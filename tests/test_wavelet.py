@@ -6,17 +6,12 @@ properties of orthonormal filter banks.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from mammoscope.errors import (
-    DimensionMismatchError,
-    MalformedDecompositionError,
-    OddLengthError,
-    SignalTooShortError,
-    TooManyLevelsError,
-)
+from mammoscope.errors import MammoscopeError
 from mammoscope.wavelet import (
     FILTER_NAMES,
     WaveletDecomposition,
@@ -113,11 +108,11 @@ class TestDwt1d:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_odd_length_rejected(self):
-        with pytest.raises(OddLengthError):
+        with pytest.raises(MammoscopeError, match="extent 3 is odd"):
             dwt1d([1.0, 2.0, 3.0], get_filter("haar"))
 
     def test_too_short_rejected(self):
-        with pytest.raises(SignalTooShortError):
+        with pytest.raises(MammoscopeError, match="extent 2 shorter than filter length 4"):
             dwt1d([1.0, 2.0], get_filter("daub4"))
 
 
@@ -140,7 +135,7 @@ class TestIdwt1d:
         assert not back.any()
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(MammoscopeError, match=re.escape("approx (2,) vs detail (1,)")):
             idwt1d([1.0, 2.0], [1.0], get_filter("haar"))
 
 
@@ -188,7 +183,7 @@ class TestDwt2dLevel:
         assert abs(total - band_total) < 1e-12 * total
 
     def test_odd_extent_rejected(self):
-        with pytest.raises(OddLengthError):
+        with pytest.raises(MammoscopeError, match="extent 7 is odd"):
             dwt2d_level(np.zeros((7, 8)), get_filter("haar"))
 
 
@@ -218,13 +213,13 @@ class TestDwt2d:
         np.testing.assert_allclose(recon[:5, :7], m, atol=1e-10)
 
     def test_too_many_levels(self):
-        with pytest.raises(TooManyLevelsError):
+        with pytest.raises(MammoscopeError, match="2 levels exhaust a 4x4 input"):
             dwt2d(np.zeros((4, 4)), get_filter("daub4"), 2)
         # one level on 4x4 daub4 is fine: extent equals the filter length
         dwt2d(np.zeros((4, 4)), get_filter("daub4"), 1)
         # a nested list is checked like an array, message and all
         message = "3 levels exhaust a 4x4 input for filter daub4"
-        with pytest.raises(TooManyLevelsError, match=message):
+        with pytest.raises(MammoscopeError, match=message):
             dwt2d([[0.0] * 4] * 4, get_filter("daub4"), 3)
 
     def test_haar_depth_unbounded_through_padding(self):
@@ -260,7 +255,7 @@ class TestDwt2d:
               "HH": decomp.details[0]["HH"]},),
             decomp.approx,
         )
-        with pytest.raises(MalformedDecompositionError):
+        with pytest.raises(MammoscopeError, match="detail shapes differ at level 1"):
             idwt2d(broken)
 
 
@@ -281,19 +276,19 @@ class TestLowpassChain:
         assert np.array_equal(lean.approx.view(np.int64), full.approx.view(np.int64))
 
     def test_too_many_levels(self):
-        with pytest.raises(TooManyLevelsError, match="3 levels exhaust a 4x4 input"):
+        with pytest.raises(MammoscopeError, match="3 levels exhaust a 4x4 input"):
             dwt2d(np.zeros((4, 4)), get_filter("daub4"), 3, details=False)
         dwt2d(np.zeros((4, 4)), get_filter("daub4"), 1, details=False)
 
     def test_idwt2d_rejects_a_decomposition_without_details(self):
         lean = dwt2d(np.ones((8, 8)), get_filter("haar"), 2, details=False)
-        with pytest.raises(MalformedDecompositionError, match="0 detail levels"):
+        with pytest.raises(MammoscopeError, match="0 detail levels"):
             idwt2d(lean)
 
     def test_idwt2d_rejects_fewer_detail_levels_than_levels(self):
         full = dwt2d(np.ones((8, 8)), get_filter("haar"), 2)
         short = WaveletDecomposition(full.filter, 2, full.details[:1], full.approx)
-        with pytest.raises(MalformedDecompositionError):
+        with pytest.raises(MammoscopeError, match="1 detail levels for a 2-level decomposition"):
             idwt2d(short)
 
 
