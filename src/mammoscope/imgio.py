@@ -9,6 +9,7 @@ since real scanner exports contain them.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,66 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(token), pos
 
 
+# 10**18 < 2**63, so a run with at most this many significant digits fits int64
+_MAX_DIGITS = 18
+
+
+def _decode_p2(payload: bytes, count: int) -> np.ndarray | None:
+    """The first ``count`` whitespace-separated runs of a comment-free
+    payload as int64 samples, or None when a run is missing, holds a
+    non-digit, or has more digits than int() or int64 allow."""
+    codes = np.frombuffer(payload, np.uint8)
+    # the six bytes bytes.split() splits at: ' ' and 9..13 (uint8 wraps below 9)
+    space = (codes == ord(" ")) | (codes - 9 <= 4)
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    if len(edges) < 2 * count:
+        return None
+    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
+    head = slice(0, ends[-1])
+    if ((codes[head] - ord("0") > 9) & ~space[head]).any():
+        return None
+    lengths = ends - starts
+    width = int(lengths.max())
+    # int() refuses more digits than this limit (0: none; Python >= 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and width > limit:
+        return None
+    if width > _MAX_DIGITS:
+        # zero padding: only the last _MAX_DIGITS digits of a run may be nonzero
+        nonzero = np.concatenate(([0], np.cumsum(codes != ord("0"))))
+        lead_end = np.maximum(ends - _MAX_DIGITS, starts)
+        if (nonzero[lead_end] != nonzero[starts]).any():
+            return None
+        width = _MAX_DIGITS
+    samples = np.zeros(count, np.int64)
+    for k in range(width, 0, -1):
+        # Horner step over the k-th digit from each run's end; a run shorter
+        # than k reads a byte before its start (wrapping at 0) that is masked
+        samples *= 10
+        samples += np.where(lengths >= k, codes[ends - k] - ord("0"), 0)
+    return samples
+
+
+def _p2_error(payload: bytes, count: int, maxval: int) -> str:
+    """Name why _decode_p2 refused a payload. In order of precedence: the
+    first token int() cannot read, a value beyond int64, too few tokens,
+    the first token with a sign or '_', and last a sample above maxval."""
+    tokens = payload.split()[:count]
+    try:
+        values = np.array(list(map(int, tokens)), dtype=np.int64)
+    except ValueError as exc:
+        return f"unreadable sample token: {exc}"
+    except OverflowError:
+        return f"sample outside 0..{maxval}"
+    if len(tokens) < count:
+        return f"expected {count} samples, got {len(tokens)}"
+    # int() also reads a sign and '_' digit separators, the only non-digits it takes
+    bad = next((t for t in tokens if not t.isdigit()), None)
+    if bad is not None:
+        return f"sample token {bad!r} is not ASCII decimal digits"
+    return f"sample {int(values.max())} exceeds maxval {maxval}"
+
+
 def read_pgm(data: bytes) -> RawImage:
     """Parse P2/P5 bytes into a RawImage.
 
@@ -81,19 +142,9 @@ def read_pgm(data: bytes) -> RawImage:
     count = width * height
     if magic == b"P2":
         payload = re.sub(rb"#[^\n]*", b"", data[pos:])
-        tokens = payload.split()[:count]
-        try:
-            samples = np.array(list(map(int, tokens)), dtype=np.int64)
-        except ValueError as exc:
-            raise MammoscopeError(f"unreadable sample token: {exc}") from None
-        except OverflowError:
-            raise MammoscopeError(f"sample outside 0..{maxval}") from None
-        if len(tokens) < count:
-            raise MammoscopeError(f"expected {count} samples, got {len(tokens)}")
-        # int() also reads a sign and '_' digit separators, the only non-digits it takes
-        if any(c in payload for c in (b"+", b"-", b"_")) and not b"".join(tokens).isdigit():
-            bad = next(t for t in tokens if not t.isdigit())
-            raise MammoscopeError(f"sample token {bad!r} is not ASCII decimal digits")
+        samples = _decode_p2(payload, count)
+        if samples is None:
+            raise MammoscopeError(_p2_error(payload, count, maxval))
     else:
         # exactly one whitespace byte separates maxval from the binary payload
         start = pos + 1
@@ -129,12 +180,24 @@ def write_pgm(img: GrayImage, maxval: int = 255, binary: bool = False) -> bytes:
     if not 1 <= maxval <= MAX_MAXVAL:
         raise ValueError(f"maxval {maxval} outside 1..{MAX_MAXVAL}")
     pixels = img.pixels
-    if pixels.min() < 0.0 or pixels.max() > 1.0:
+    # written so that a NaN pixel fails it too
+    if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
         raise ValueError("pixels must lie in [0, 1] before writing")
     quantized = np.floor(pixels * maxval + 0.5).astype(np.int64)
     header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{maxval}\n"
     if binary:
         dtype = ">u2" if maxval > 255 else np.uint8
         return header.encode("ascii") + quantized.astype(dtype).tobytes()
-    rows = "\n".join(" ".join(str(v) for v in row) for row in quantized)
-    return header.encode("ascii") + rows.encode("ascii") + b"\n"
+    # one cell per decimal digit and one for the separator; dropping the
+    # zero cells of leading zeros leaves "v v ... v\n" per row
+    digits = len(str(maxval))
+    grid = np.zeros((*quantized.shape, digits + 1), np.uint8)
+    grid[..., -1] = ord(" ")
+    grid[:, -1, -1] = ord("\n")
+    for place in range(digits):  # least significant digit first, consuming quantized
+        cell = grid[..., digits - 1 - place]
+        np.remainder(quantized, 10, out=cell, casting="unsafe")
+        np.add(cell, ord("0"), out=cell, where=(quantized > 0) | (place == 0))
+        quantized //= 10
+    cells = grid.ravel()
+    return header.encode("ascii") + np.compress(cells != 0, cells).tobytes()

@@ -1,6 +1,8 @@
 """Tests for PGM parsing, emission and the gray conversion."""
 
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,36 @@ def reference_next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
         pos += 1
     return data[start:pos], pos
+
+
+def reference_p2_samples(payload: bytes, count: int, maxval: int) -> np.ndarray:
+    """One int() per token: the P2 sample decoder that read_pgm vectorizes.
+
+    ``payload`` is everything after the maxval token.
+    """
+    payload = re.sub(rb"#[^\n]*", b"", payload)
+    tokens = payload.split()[:count]
+    try:
+        samples = np.array(list(map(int, tokens)), dtype=np.int64)
+    except ValueError as exc:
+        raise MammoscopeError(f"unreadable sample token: {exc}") from None
+    except OverflowError:
+        raise MammoscopeError(f"sample outside 0..{maxval}") from None
+    if len(tokens) < count:
+        raise MammoscopeError(f"expected {count} samples, got {len(tokens)}")
+    if any(c in payload for c in (b"+", b"-", b"_")) and not b"".join(tokens).isdigit():
+        bad = next(t for t in tokens if not t.isdigit())
+        raise MammoscopeError(f"sample token {bad!r} is not ASCII decimal digits")
+    if samples.max() > maxval:
+        raise MammoscopeError(f"sample {int(samples.max())} exceeds maxval {maxval}")
+    return samples
+
+
+def reference_p2_encode(img: GrayImage, maxval: int) -> bytes:
+    """One str() per sample: the plain PGM encoder that write_pgm vectorizes."""
+    quantized = np.floor(img.pixels * maxval + 0.5).astype(np.int64)
+    rows = "\n".join(" ".join(str(v) for v in row) for row in quantized)
+    return f"P2\n{img.width} {img.height}\n{maxval}\n{rows}\n".encode("ascii")
 
 
 class TestReadPgm:
@@ -126,6 +158,28 @@ class TestReadPgm:
         # a sign or '_' in a comment or past the last sample read is not a sample token
         assert read_pgm(b"P2 2 1 255 # a-b_c+\n3 4 -1").samples.tolist() == [3, 4]
 
+    def test_zero_padded_samples(self):
+        padded = b"0" * 24 + b"7"
+        assert read_pgm(b"P2 2 1 255 " + padded + b" 0" * 30).samples.tolist() == [7, 0]
+        assert read_pgm(b"P2 1 1 255 " + b"0" * 4299 + b"5").samples.tolist() == [5]
+        # int() reads no more digits than sys.get_int_max_str_digits(), 4300 by default
+        with pytest.raises(MammoscopeError, match="unreadable sample token: Exceeds the limit"):
+            read_pgm(b"P2 1 1 255 " + b"0" * 4300 + b"5")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P2 100000 100000 255 1 2 3", "expected 10000000000 samples, got 3"),
+        (b"P5 100000 100000 255 " + bytes([1, 2, 3]), "expected 10000000000 bytes, got 3"),
+    ], ids=["p2", "p5"])
+    def test_huge_header_allocates_nothing_before_the_payload_check(self, data, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MammoscopeError, match=f"^{message}$"):
+                read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_bad_dimensions_rejected(self):
         with pytest.raises(MammoscopeError, match="non-positive dimensions 0x2"):
             read_pgm(b"P2\n0 2\n255\n")
@@ -169,6 +223,28 @@ class TestWritePgm:
             write_pgm(GrayImage(np.array([[1.5]])))
 
     @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("pixels", [[[np.nan, 0.5]], [[0.5, 0.25], [1.0, np.nan]], [[np.nan]]],
+                             ids=["nan-first", "nan-last", "nan-alone"])
+    def test_rejects_nan_pixels(self, pixels, binary):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("pixels must lie in [0, 1]")):
+                write_pgm(GrayImage(np.array(pixels)), maxval=255, binary=binary)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (9, 11)])
+    @pytest.mark.parametrize("maxval", [1, 9, 10, 99, 100, 255, 256, 4095, 9999, 10000, 65535])
+    def test_plain_output_matches_per_sample_reference(self, maxval, shape):
+        rng = np.random.default_rng([maxval, *shape])
+        pixels = rng.random(shape)
+        # each decimal width up to maxval's, between the two endpoints
+        inner = [v for v in (9, 10, 99, 100, 999, 1000, 9999, 10000) if v < maxval]
+        inner = inner[: max(pixels.size - 2, 0)]
+        pixels.flat[1 : 1 + len(inner)] = np.array(inner) / maxval
+        pixels.flat[0], pixels.flat[-1] = 0.0, 1.0
+        for img in (GrayImage(pixels), GrayImage(np.zeros((1, 1))), GrayImage(np.ones((1, 1)))):
+            assert write_pgm(img, maxval=maxval, binary=False) == reference_p2_encode(img, maxval)
+
+    @pytest.mark.parametrize("binary", [False, True])
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_raw_round_trip(self, binary, maxval):
         rng = np.random.default_rng(17)
@@ -195,7 +271,67 @@ SAMPLE_TOKENS = st.one_of(
 )
 
 
+# P2 payload pieces: separators, and tokens that int(), the digit rule or maxval refuses
+SEPARATORS = st.one_of(
+    st.lists(st.sampled_from([bytes([c]) for c in _WHITESPACE]), min_size=1, max_size=3)
+    .map(b"".join),
+    st.binary(max_size=4).map(lambda body: b"#" + body + b"\n"),
+)
+HOSTILE_TOKENS = st.one_of(
+    st.sampled_from([18, 19, 25]).flatmap(
+        lambda n: st.text("0123456789", min_size=n, max_size=n).map(str.encode)),
+    st.integers(0, 10**25).map(lambda v: str(v).encode()),
+    st.sampled_from([10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1]).map(lambda v: str(v).encode()),
+    st.tuples(st.sampled_from([b"", b"+", b"-"]), st.integers(0, 999),
+              st.sampled_from([b"", b"_0", b"x", b":", b"/", b"e", b"\x85", b"\xa0", b"\xff", b"-"]))
+    .map(lambda t: t[0] + str(t[1]).encode() + t[2]),
+    st.binary(min_size=1, max_size=3).filter(
+        lambda b: not any(c in _WHITESPACE or c == ord("#") for c in b)),
+)
+
+
+def read_outcome(read, *args):
+    """What a reader gives: the decoded image's fields, or the error message."""
+    try:
+        raw = read(*args)
+    except MammoscopeError as exc:
+        return str(exc)
+    return raw.width, raw.height, raw.maxval, raw.samples.dtype, raw.samples.tolist()
+
+
 class TestReadPgmProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        width=st.integers(1, 4),
+        height=st.integers(1, 3),
+        maxval=st.one_of(st.sampled_from([1, 9, 255, 256, 4095, 65535]), st.integers(1, 65535)),
+        clean=st.booleans(),
+        data=st.data(),
+    )
+    def test_p2_samples_match_int_per_token_reference(self, width, height, maxval, clean, data):
+        count = width * height
+        samples = st.one_of(
+            st.integers(0, maxval).map(lambda v: str(v).encode()),
+            st.tuples(st.integers(1, 30), st.integers(0, maxval))
+            .map(lambda t: b"0" * t[0] + str(t[1]).encode()),
+        )
+        tokens = data.draw(st.lists(samples, min_size=count if clean else max(count - 2, 0),
+                                    max_size=count))
+        if not clean:  # one or two bad tokens among the samples
+            for token in data.draw(st.lists(HOSTILE_TOKENS, min_size=1, max_size=2)):
+                tokens.insert(data.draw(st.integers(0, len(tokens))), token)
+        # junk after the samples is not read
+        tokens += data.draw(st.lists(st.one_of(samples, HOSTILE_TOKENS), max_size=3))
+        payload = b"".join(data.draw(SEPARATORS) + token for token in tokens)
+        payload += data.draw(st.one_of(st.just(b""), SEPARATORS))
+
+        def reference(payload):
+            samples = reference_p2_samples(payload, count, maxval)
+            return RawImage(width, height, maxval, samples)
+
+        got = read_outcome(read_pgm, b"P2 %d %d %d" % (width, height, maxval) + payload)
+        assert got == read_outcome(reference, payload)
+
     @settings(deadline=None)
     @given(
         data=st.one_of(
