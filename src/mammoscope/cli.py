@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import os
 import secrets
 import sys
@@ -55,7 +56,7 @@ def _read_text(path: str | Path, what: str) -> str:
 
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
     try:
-        records = list(csv.reader(io.StringIO(_read_text(path, "manifest"))))
+        records = list(csv.reader(io.StringIO(_read_text(path, "manifest")), strict=True))
     except csv.Error as exc:
         raise MammoscopeError(f"cannot parse manifest {path}: {exc}") from None
     if not records:
@@ -107,20 +108,38 @@ def _extract_one(path: str, cfg: PipelineConfig) -> FeatureVector | str:
         return str(exc)
 
 
-def cmd_phantom(args) -> int:
-    cfg = load_config(args.config)
-    try:  # render first, so a size too large to render leaves no output behind
-        items = phantom.render_set(cfg.phantom)
+def _died(future) -> bool:
+    return isinstance(future.exception(), BrokenProcessPool)
+
+
+def _extract_alone(path: str, cfg: PipelineConfig) -> FeatureVector | str:
+    """``_extract_one`` in a fresh one-worker pool: only an image that kills its worker dies."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(_extract_one, path, cfg)
+    return "worker process died" if _died(future) else future.result()
+
+
+def _rendered(cfg: phantom.PhantomConfig):
+    """The phantom set one image at a time; a failed render is a MammoscopeError."""
+    try:
+        yield from phantom.render_set(cfg)
     except (MemoryError, ValueError) as exc:
         raise MammoscopeError(f"cannot render phantom set: {exc}") from None
+
+
+def cmd_phantom(args) -> int:
+    cfg = load_config(args.config)
+    images = _rendered(cfg.phantom)
+    first = next(images)  # before --out exists, so a size too large to render leaves nothing behind
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise MammoscopeError(f"cannot write phantom set: {exc}") from None
-    for name, _, img in items:
+    manifest = "path,label\n"
+    for name, label, img in itertools.chain([first], images):  # each written as it renders
         _write_output(out_dir / name, write_pgm(img, maxval=255, binary=True))
-    manifest = "path,label\n" + "".join(f"{name},{label}\n" for name, label, _ in items)
+        manifest += f"{name},{label}\n"
     _write_output(out_dir / "manifest.csv", manifest.encode("ascii"))  # last: lists only whole files
     print(f"wrote {2 * cfg.phantom.count_per_class} images and manifest to {out_dir}")
     return 0
@@ -136,11 +155,11 @@ def cmd_extract(args) -> int:
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             futures = [pool.submit(_extract_one, path, cfg) for path in paths]
-            # a dead worker breaks every future not yet done; other errors raise as in serial
-            outcomes = [
-                "worker process died" if isinstance(f.exception(), BrokenProcessPool)
-                else f.result() for f in futures
-            ]
+        # a dead worker breaks every future not yet done, so each of those reruns alone;
+        # other errors raise as in serial
+        outcomes = [
+            _extract_alone(path, cfg) if _died(f) else f.result() for path, f in zip(paths, futures)
+        ]
     else:
         outcomes = [_extract_one(path, cfg) for path in paths]
     kept = []

@@ -67,13 +67,6 @@ class RocCurve:
     auc: float
 
 
-def _trapezoid_area(points) -> float:
-    area = 0.0
-    for (x0, y0, _), (x1, y1, _) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
-
-
 def roc(scores, truth) -> RocCurve:
     """Sweep the decision threshold over every distinct score.
 
@@ -97,7 +90,9 @@ def roc(scores, truth) -> RocCurve:
     tpr = np.cumsum(hits)[last] / n_pos
     fpr = np.cumsum(~hits)[last] / n_neg
     points = [(0.0, 0.0, math.inf), *zip(fpr.tolist(), tpr.tolist(), ranked[first].tolist())]
-    return RocCurve(tuple(points), _trapezoid_area(points))
+    # a running sum adds the trapezoids left to right, in the order a loop over points would
+    area = np.cumsum(np.diff(fpr, prepend=0.0) * (tpr + np.append(0.0, tpr[:-1])))[-1] / 2.0
+    return RocCurve(tuple(points), float(area))
 
 
 def kfold_indices(table: FeatureTable, k: int, seed: int) -> list[tuple[list[int], list[int]]]:

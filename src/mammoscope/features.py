@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import MammoscopeError
 from .fourier import fft2d, half_log_magnitude
@@ -99,33 +100,17 @@ def kurtosis(values) -> float:
     return moments(values)[3]
 
 
-def _resample_bilinear(src: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Resize by bilinear interpolation on the corner-aligned grid."""
-    h, w = src.shape
-    out_h, out_w = shape
-    rows = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
-    cols = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
-    r0 = np.floor(rows).astype(int)
-    c0 = np.floor(cols).astype(int)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = (rows - r0)[:, None]
-    fc = (cols - c0)[None, :]
-    top = src[np.ix_(r0, c0)] * (1 - fc) + src[np.ix_(r0, c1)] * fc
-    bottom = src[np.ix_(r1, c0)] * (1 - fc) + src[np.ix_(r1, c1)] * fc
-    return top * (1 - fr) + bottom * fr
-
-
 def cross_correlation(a, b) -> float:
     """Pearson correlation of two maps, in [-1, 1].
 
-    When the shapes differ, b is bilinearly resampled to a's dimensions
-    first. Returns 0 when either map is degenerate.
+    When the shapes differ, b is sampled bilinearly at a's dimensions on
+    the corner-aligned grid first. Returns 0 when either map is degenerate.
     """
     x = np.atleast_2d(_as_map(a))
     y = np.atleast_2d(_as_map(b))
     if x.shape != y.shape:
-        y = _resample_bilinear(y, x.shape)
+        axes = (np.linspace(0.0, m - 1.0, k) for m, k in zip(y.shape, x.shape))
+        y = ndimage.map_coordinates(y, np.meshgrid(*axes, indexing="ij"), order=1)
     xc = x - x.mean()
     yc = y - y.mean()
     sx = np.sqrt(np.mean(xc**2))

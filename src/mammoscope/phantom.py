@@ -12,6 +12,7 @@ config renders to byte-identical files on any machine.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,13 +127,9 @@ def render_image(cfg: PhantomConfig, index: int) -> GrayImage:
     return GrayImage(pixels)
 
 
-def render_set(cfg: PhantomConfig) -> list[tuple[str, str, GrayImage]]:
-    """All 2 * count_per_class phantoms as (filename, label, image) triples."""
+def render_set(cfg: PhantomConfig) -> Iterator[tuple[str, str, GrayImage]]:
+    """All 2 * count_per_class phantoms as (filename, label, image) triples, one at a time."""
     cfg.validate()
-    items = []
     for index in range(2 * cfg.count_per_class):
         label = NORMAL if index < cfg.count_per_class else SUSPICIOUS
-        name = f"phantom_{index:04d}_{label}.pgm"
-        items.append((name, label, render_image(cfg, index)))
-    return items
-
+        yield f"phantom_{index:04d}_{label}.pgm", label, render_image(cfg, index)

@@ -8,6 +8,7 @@ import os
 import shutil
 import stat
 import threading
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -147,6 +148,39 @@ class TestPhantomCommand:
         assert err == "error: cannot render phantom set: simulated allocation failure\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_later_render_failure_is_exit_2_and_writes_no_manifest(
+        self, workdir, capsys, monkeypatch, error
+    ):
+        tmp_path, cfg = workdir
+        render_image = cli.phantom.render_image
+
+        def fail_at_3(phantom_cfg, index):
+            if index == 3:
+                raise error("simulated failure")
+            return render_image(phantom_cfg, index)
+
+        monkeypatch.setattr(cli.phantom, "render_image", fail_at_3)
+        out = tmp_path / "images"
+        assert run(["phantom", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cannot render phantom set: simulated failure\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"phantom_{index:04d}_normal.pgm" for index in range(3)
+        ]
+
+    def test_renders_and_writes_one_image_at_a_time(self, tmp_path):
+        """24 float64 images of 256 x 256 take 12 MiB if held together."""
+        cfg = tmp_path / "phantom.cfg"
+        cfg.write_text("phantom.size = 256\nphantom.count_per_class = 12\n")
+        tracemalloc.start()
+        try:
+            assert run(["phantom", "--config", str(cfg), "--out", str(tmp_path / "images")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "images").glob("*.pgm"))) == 24
+        assert peak < 6 * 2**20
+
 
 class TestExtractCommand:
     def test_extract_and_determinism(self, workdir):
@@ -210,6 +244,45 @@ class TestExtractCommand:
         err = capsys.readouterr().err
         assert f"cannot parse manifest {manifest}: field larger than field limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, reason", [
+        pytest.param(
+            lambda text: text.replace("phantom_0000_normal.pgm", '"phantom_0000_normal".pgm'),
+            "',' expected after '\"'", id="text-after-closing-quote",
+        ),
+        pytest.param(
+            lambda text: text + 'x.pgm,"normal', "unexpected end of data", id="quote-never-closed",
+        ),
+    ])
+    def test_malformed_manifest_quoting_is_exit_2(self, workdir, capsys, edit, reason):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        manifest = out / "manifest.csv"
+        manifest.write_text(edit(manifest.read_text()))
+        feats = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert run(["extract", "--config", cfg, "--manifest", str(manifest),
+                    "--out", str(feats)]) == 2
+        assert not feats.exists()
+        assert capsys.readouterr().err == f"error: cannot parse manifest {manifest}: {reason}\n"
+
+    def test_quoted_manifest_path_extracts(self, workdir):
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        (out / "phantom_0000_normal.pgm").rename(out / "a,b.pgm")
+        manifest = out / "quoted.csv"
+        manifest.write_text(
+            'path,label\n"a,b.pgm",normal\nphantom_0006_suspicious.pgm,suspicious\n'
+        )
+        feats = tmp_path / "f.csv"
+        assert run(["extract", "--config", cfg, "--manifest", str(manifest),
+                    "--out", str(feats)]) == 0
+        rows = list(csv.reader(io.StringIO(feats.read_text())))
+        assert [row[:2] for row in rows[1:]] == [
+            ["a,b.pgm", "normal"], ["phantom_0006_suspicious.pgm", "suspicious"]
+        ]
 
     def test_jobs_flag_matches_serial(self, workdir):
         tmp_path, cfg = workdir
@@ -276,25 +349,24 @@ class TestExtractCommand:
         reason="workers see the patched extractor only when forked",
     )
     def test_dead_worker_is_a_failure_line(self, workdir, capsys, monkeypatch):
+        """Only the image that kills its worker fails; the rest keep their serial rows."""
         tmp_path, cfg = workdir
         out = tmp_path / "images"
         run(["phantom", "--config", cfg, "--out", str(out)])
-        ids = [row.split(",")[0] for row in (out / "manifest.csv").read_text().splitlines()[1:]]
+        serial = tmp_path / "serial.csv"
+        run(["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
+             "--out", str(serial)])
         monkeypatch.setattr(cli, "_extract_one", _extract_or_die)
         feats = tmp_path / "f.csv"
         capsys.readouterr()
         status = run(["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
                       "--out", str(feats), "--jobs", "2"])
         assert status == 1
-        err = capsys.readouterr().err
-        assert f"extract failed for {DEAD_IMAGE}: worker process died\n" in err
-        assert "Traceback" not in err
-        died = [line.split(" ")[3][:-1] for line in err.splitlines()]
-        assert all(line.endswith(": worker process died") for line in err.splitlines())
-        kept = [row.split(",")[0] for row in feats.read_text().splitlines()[1:]]
-        assert kept  # of the five images before the dead one, at most one is in flight
-        assert sorted(kept + died) == sorted(ids)
-        assert DEAD_IMAGE not in kept
+        assert capsys.readouterr().err == f"extract failed for {DEAD_IMAGE}: worker process died\n"
+        lines = serial.read_text().splitlines()
+        expected = [line for line in lines if not line.startswith(DEAD_IMAGE)]
+        assert feats.read_text().splitlines() == expected
+        assert len(expected) == 12  # header + the other 11 rows, in manifest order
 
 
 def _pipeline_to_features(workdir):

@@ -199,12 +199,16 @@ class TestRoc:
         with pytest.raises(ValueError, match="unknown label"):
             roc([0.9, 0.1, 0.5], [S, N, label])
 
-    def test_auc_recomputes_from_points(self):
-        curve = roc([0.9, 0.4, 0.6, 0.1], [S, N, S, N])
-        area = sum(
-            (x1 - x0) * (y0 + y1) / 2.0
-            for (x0, y0, _), (x1, y1, _) in zip(curve.points, curve.points[1:])
-        )
+    @pytest.mark.parametrize("n, decimals", [(4, 1), (2000, 2), (3001, 6)])
+    def test_auc_recomputes_from_points(self, n, decimals):
+        """Bit for bit the left-to-right trapezoid sum over the points, ties included."""
+        rng = np.random.default_rng(n)
+        scores = rng.random(n).round(decimals)
+        truth = [S if t else N for t in np.arange(n) % 2 == 0]
+        curve = roc(scores, truth)
+        area = 0.0
+        for (x0, y0, _), (x1, y1, _) in zip(curve.points, curve.points[1:]):
+            area += (x1 - x0) * (y0 + y1) / 2.0
         assert area == curve.auc
 
 

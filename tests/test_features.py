@@ -222,6 +222,28 @@ class TestCrossCorrelation:
             r = cross_correlation(rng.random((5, 9)), rng.random((3, 4)))
             assert -1.0 <= r <= 1.0
 
+    def test_bilinear_sampling_reproduces_an_affine_map(self):
+        """Bilinear sampling is exact on an affine map, between pixels too."""
+
+        def affine(rows, cols):
+            return 0.3 * rows - 1.7 * cols + 2.0
+
+        # 63 / 15 = 4.2 and 39 / 9 = 4.33...: every inner sample falls between pixels
+        rows, cols = np.linspace(0, 63, 16), np.linspace(0, 39, 10)
+        at_samples = affine(*np.meshgrid(rows, cols, indexing="ij"))
+        on_grid = affine(*np.mgrid[0:64, 0:40])
+        assert cross_correlation(at_samples, on_grid) == pytest.approx(1.0, abs=1e-12)
+        assert cross_correlation(-at_samples, on_grid) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_sampling_grid_is_corner_aligned(self):
+        """Corner pixels meet corner pixels: 17 samples of 65 are every fourth pixel.
+
+        A half-pixel-centred resampler samples between those pixels and
+        scores about 0.19 here.
+        """
+        y = np.random.default_rng(9).random((65, 65))
+        assert cross_correlation(y[::4, ::4], y) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestExtractFeatures:
     def test_constant_image_default8(self):

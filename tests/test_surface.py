@@ -7,6 +7,10 @@ import, or ``module.name``), or by an import or ``module.name`` in
 ``perfbench/*.py`` or ``tests/test_acceptance.py``. Unit tests do not
 count, so code that only they call is flagged for deletion.
 
+Every module-level ``_``-prefixed ``def``, ``class`` or constant must be
+used by the package itself, outside its own definition: a private helper
+that only its unit test calls is flagged too.
+
 The package raises one exception type on bad input: its callers turn any
 failure into exit 2 or a per-image failure line, so none tells kinds apart.
 """
@@ -48,7 +52,8 @@ def _reached(tree: ast.Module, module: str | None, modules: set[str]) -> set[tup
             if node.value.id in aliases:
                 found.add((aliases[node.value.id], node.attr))
         elif isinstance(node, ast.Name) and module is not None and node.id != own:
-            found.add((module, node.id))
+            if isinstance(node.ctx, ast.Load):  # assigning a name does not use it
+                found.add((module, node.id))
         for child in ast.iter_child_nodes(node):
             visit(child, own)
 
@@ -58,11 +63,25 @@ def _reached(tree: ast.Module, module: str | None, modules: set[str]) -> set[tup
     return found
 
 
-def unreached(package: dict[str, str], outside: list[str]) -> list[str]:
-    """``module.name`` of each public top-level def or class that nothing reaches.
+def _defined(stmt: ast.stmt, private: bool) -> list[str]:
+    """Names a module-level statement defines: a def or class, or for ``private`` a constant too."""
+    if isinstance(stmt, DEFS):
+        names = [stmt.name]
+    elif private and isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") == private and not n.startswith("__")]
+
+
+def unreached(package: dict[str, str], outside: list[str], private: bool = False) -> list[str]:
+    """``module.name`` of each checked top-level name that nothing reaches.
 
     ``package`` maps module names to their source; ``outside`` holds the
-    sources of the callers that count besides the package itself.
+    sources of the callers that count besides the package itself. With
+    ``private``, the names checked are the ``_``-prefixed defs, classes
+    and constants instead of the public defs and classes.
     """
     modules = set(package)
     trees = {name: ast.parse(source) for name, source in package.items()}
@@ -72,13 +91,19 @@ def unreached(package: dict[str, str], outside: list[str]) -> list[str]:
     for source in outside:
         reached |= _reached(ast.parse(source), None, modules)
     return sorted(
-        f"{name}.{stmt.name}"
+        f"{name}.{defined}"
         for name, tree in trees.items()
         for stmt in tree.body
-        if isinstance(stmt, DEFS)
-        and not stmt.name.startswith("_")
-        and (name, stmt.name) not in reached
+        for defined in _defined(stmt, private)
+        if (name, defined) not in reached
     )
+
+
+def _package() -> dict[str, str]:
+    return {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+    }
 
 
 class TestSurface:
@@ -99,6 +124,23 @@ class TestSurface:
     def test_detector(self, package, outside, flagged):
         assert unreached(package, outside) == flagged
 
+    @pytest.mark.parametrize("package, flagged", [
+        ({"m": "def _f(): pass\n"}, ["m._f"]),
+        ({"m": "class _C: pass\n"}, ["m._C"]),
+        ({"m": "_X = 1\n"}, ["m._X"]),
+        ({"m": "_X: int = 1\n_Y = _Z = 2\n"}, ["m._X", "m._Y", "m._Z"]),
+        ({"m": "def _f(): return _f()\n"}, ["m._f"]),
+        ({"m": "def _f(): pass\ndef g(): _f()\n"}, []),
+        ({"m": "_X = 1\ndef g(): return _X\n"}, []),
+        ({"m": "_X = 1\n_Y = _X\n"}, ["m._Y"]),
+        ({"m": "def _f(): pass\n", "n": "from .m import _f\n"}, []),
+        ({"m": "def _f(): pass\n", "n": "from . import m\nm._f()\n"}, []),
+        ({"m": "def _f(): pass\n", "n": "_f = 1\n_f\n"}, ["m._f"]),
+        ({"m": "__all__ = []\ndef f(): pass\n"}, []),
+    ])
+    def test_private_detector(self, package, flagged):
+        assert unreached(package, [], private=True) == flagged
+
     def test_unit_test_use_is_not_a_reach(self):
         """A def only a unit test calls is flagged; one perfbench calls as module.attr is not."""
         package = {"wavelet": "def dwt1d(): pass\ndef dwt2d(): pass\n"}
@@ -106,12 +148,13 @@ class TestSurface:
         assert unreached(package, [perfbench]) == ["wavelet.dwt1d"]
 
     def test_every_public_name_is_reached(self):
-        package = {
-            path.stem: path.read_text(encoding="utf-8")
-            for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))
-        }
+        package = _package()
         callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests/test_acceptance.py"]
         assert unreached(package, [path.read_text(encoding="utf-8") for path in callers]) == []
+
+    def test_every_private_name_is_used(self):
+        """Only the package counts: a helper that just its unit test imports is dead."""
+        assert unreached(_package(), [], private=True) == []
 
 
 class TestOneErrorType:
