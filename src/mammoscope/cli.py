@@ -17,62 +17,30 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import itertools
 import os
 import secrets
 import sys
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bayes, evaluation, phantom
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, read_text
 from .errors import MammoscopeError
 from .evaluation import run_cross_validation
 from .features import (
-    LABELS,
     FeatureTable,
     FeatureVector,
     extract_features,
     select_features,
     table_from_csv,
-    table_from_rows,
     table_to_csv,
 )
 from .imgio import read_pgm, to_gray, write_pgm
 from .preprocess import preprocess_pipeline
-
-
-def _read_text(path: str | Path, what: str) -> str:
-    """A UTF-8 text input, byte-order mark or not, read in universal-newline mode."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MammoscopeError(f"cannot read {what} {path}: {exc}") from None
-
-
-def _read_manifest(path: Path) -> list[tuple[str, str]]:
-    try:
-        records = list(csv.reader(io.StringIO(_read_text(path, "manifest")), strict=True))
-    except csv.Error as exc:
-        raise MammoscopeError(f"cannot parse manifest {path}: {exc}") from None
-    if not records:
-        raise MammoscopeError(f"manifest {path} is empty")
-    if records[0] != ["path", "label"]:
-        raise MammoscopeError(f"manifest {path} must have header path,label")
-    rows = []
-    for row in records[1:]:
-        if not row:
-            continue
-        if len(row) != 2 or row[1] not in LABELS:
-            raise MammoscopeError(f"bad manifest row {row!r}")
-        rows.append((row[0], row[1]))
-    if not rows:
-        raise MammoscopeError(f"manifest {path} lists no images")
-    return rows
 
 
 def _write_output(path: str | Path, data: bytes) -> None:
@@ -137,8 +105,13 @@ def cmd_phantom(args) -> int:
     except OSError as exc:
         raise MammoscopeError(f"cannot write phantom set: {exc}") from None
     manifest = "path,label\n"
-    for name, label, img in itertools.chain([first], images):  # each written as it renders
-        _write_output(out_dir / name, write_pgm(img, maxval=255, binary=True))
+    for index, (name, label, img) in enumerate(itertools.chain([first], images)):
+        _write_output(out_dir / name, write_pgm(img, maxval=255, binary=True))  # as it renders
+        if index == 0:  # from here on, an old manifest would list a mix of two sets
+            try:
+                (out_dir / "manifest.csv").unlink(missing_ok=True)
+            except OSError as exc:
+                raise MammoscopeError(f"cannot write phantom set: {exc}") from None
         manifest += f"{name},{label}\n"
     _write_output(out_dir / "manifest.csv", manifest.encode("ascii"))  # last: lists only whole files
     print(f"wrote {2 * cfg.phantom.count_per_class} images and manifest to {out_dir}")
@@ -150,8 +123,13 @@ def cmd_extract(args) -> int:
         raise MammoscopeError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     manifest_path = Path(args.manifest)
-    rows = _read_manifest(manifest_path)
-    paths = [str(manifest_path.parent / rel) for rel, _ in rows]  # an absolute rel overrides
+    try:  # a manifest is a feature CSV keyed by path, with no feature columns
+        manifest = table_from_csv(read_text(manifest_path, "manifest"), key="path")
+    except ValueError as exc:
+        raise MammoscopeError(f"bad manifest {manifest_path}: {exc}") from None
+    if manifest.names:
+        raise MammoscopeError(f"bad manifest {manifest_path}: header must be path,label")
+    paths = [str(manifest_path.parent / rel) for rel in manifest.ids]  # an absolute rel overrides
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             futures = [pool.submit(_extract_one, path, cfg) for path in paths]
@@ -162,21 +140,23 @@ def cmd_extract(args) -> int:
         ]
     else:
         outcomes = [_extract_one(path, cfg) for path in paths]
-    kept = []
-    for (rel, label), out in zip(rows, outcomes):
+    for rel, out in zip(manifest.ids, outcomes):
         if isinstance(out, str):
             print(f"extract failed for {rel}: {out}", file=sys.stderr)
-        else:
-            kept.append((rel, label, out))
+    kept = [i for i, out in enumerate(outcomes) if not isinstance(out, str)]
     if not kept:
         print("error: no image could be extracted", file=sys.stderr)
         return 1
-    _write_output(args.out, table_to_csv(table_from_rows(kept)).encode("utf-8"))
-    return 1 if len(kept) < len(rows) else 0
+    vectors = [outcomes[i] for i in kept]
+    table = replace(
+        manifest.subset(kept), names=vectors[0].names, values=np.array([v.values for v in vectors])
+    )
+    _write_output(args.out, table_to_csv(table).encode("utf-8"))
+    return 1 if len(kept) < manifest.n_rows else 0
 
 
 def _load_table(path: str) -> FeatureTable:
-    text = _read_text(path, "features")
+    text = read_text(path, "features")
     try:
         return table_from_csv(text)
     except ValueError as exc:

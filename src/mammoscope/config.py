@@ -113,12 +113,16 @@ def _validate(cfg: PipelineConfig, source: str) -> None:
         raise MammoscopeError(f"{source}: phantom: {exc}") from None
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """A UTF-8 text input, byte-order mark or not, read in universal-newline mode."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MammoscopeError(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_config(path: str | None) -> PipelineConfig:
     """Read a config file; None means all defaults."""
     if path is None:
         return PipelineConfig()
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MammoscopeError(f"cannot read config {path}: {exc}") from None
-    return parse_config(text, source=str(path))
+    return parse_config(read_text(path, "config"), source=str(path))

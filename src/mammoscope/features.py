@@ -226,23 +226,6 @@ class FeatureTable:
         return FeatureTable(tuple(wanted), self.ids, self.labels, self.values[:, cols])
 
 
-def table_from_rows(rows) -> FeatureTable:
-    """Build a table from (id, label, FeatureVector) triples with matching names."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows")
-    names = rows[0][2].names
-    for rid, _, vec in rows:
-        if vec.names != names:
-            raise ValueError(f"row {rid!r} feature names do not match the header")
-    return FeatureTable(
-        names,
-        tuple(r[0] for r in rows),
-        tuple(r[1] for r in rows),
-        np.array([r[2].values for r in rows]),
-    )
-
-
 def table_to_csv(table: FeatureTable) -> str:
     """Serialize with ``id,label,<names...>`` header and round-trip floats.
 
@@ -273,15 +256,19 @@ def _reads_as_float(token: str) -> bool:
 def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | None, failure) -> str:
     """Name the first bad row in file order; data rows count from 1, blank lines skipped.
 
-    A row is bad if loadtxt rejects it, its label is unknown, a value is not finite,
-    or it holds the offset of ``_quote_problem``'s pair. A row that ``csv`` cannot
-    split has no id to name, so it is reported by number; so is the row after the last
-    when ``csv`` finds nothing wrong, with loadtxt's message ``failure`` as the reason.
+    A row is bad if it holds the offset of ``_quote_problem``'s pair, loadtxt rejects
+    it, its label is unknown or a value is not finite; a quote error is named before
+    the symptoms it causes in its own row. A row that ``csv`` cannot split has no id
+    to name, so it is reported by number; so is the row after the last when ``csv``
+    finds nothing wrong, with loadtxt's message ``failure`` as the reason.
     """
     number = 0
     try:
         for number, row in enumerate(filter(None, csv.reader(rows)), start=1):
             where = f"row {row[0]!r} (data row {number})"
+            # csv reads a StringIO line by line, so tell() is where this record ends
+            if quote and rows.tell() > quote[0]:
+                return f"{where}: {quote[1]}"
             if len(row) != 2 + len(names):
                 return f"{where}: {len(row)} fields, expected {2 + len(names)}"
             if row[1] not in LABELS:
@@ -291,9 +278,6 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | Non
                     return f"{where}: cannot read {token!r} as a number for {name!r}"
                 if not math.isfinite(float(token)):
                     return f"{where}: non-finite value for {name!r}"
-            # csv reads a StringIO line by line, so tell() is where this record ends
-            if quote and rows.tell() > quote[0]:
-                return f"{where}: {quote[1]}"
     except csv.Error as exc:
         reason = str(exc).partition(" - ")[0]
         return f"row <unreadable> (data row {number + 1}): {reason}"
@@ -319,21 +303,24 @@ def _quote_problem(text: str, start: int = 0) -> tuple[int, str] | None:
     return None
 
 
-def table_from_csv(text: str) -> FeatureTable:
-    """Parse the header with ``csv``, then every row in one ``np.loadtxt`` pass.
+def table_from_csv(text: str, key: str = "id") -> FeatureTable:
+    """Parse a ``<key>,label[,<names...>]`` table: the header with ``csv``, then every
+    row in one ``np.loadtxt`` pass. A manifest is such a table with ``key="path"`` and
+    no feature columns.
 
     Values convert bit-identically to ``float()``; ``1_0``-style separators are rejected.
-    Errors name the first bad row in file order by id and by its 1-based data-row number.
+    Errors name the first bad row in file order by id and by its 1-based data-row number;
+    an id longer than ``csv.field_size_limit()`` makes its row bad, as ``csv`` would.
     """
     buf = io.StringIO(text)
     try:
         header = next(csv.reader(buf, strict=True))
     except StopIteration:
-        raise ValueError("empty feature CSV") from None
+        raise ValueError("no header row") from None
     except csv.Error as exc:
         raise ValueError(f"unreadable header: {exc}") from None
-    if header[:2] != ["id", "label"]:
-        raise ValueError("feature CSV must start with id,label columns")
+    if header[:2] != [key, "label"]:
+        raise ValueError(f"header must start with {key},label")
     names = tuple(header[2:])
     if len(set(names)) != len(names):
         repeated = sorted({n for n in names if names.count(n) > 1})
@@ -351,9 +338,10 @@ def table_from_csv(text: str) -> FeatureTable:
         values = np.ascontiguousarray(rows["v"])
         if not np.isfinite(values).all():
             raise ValueError("non-finite value")
-        table = FeatureTable(
-            names, tuple(rows["id"].tolist()), tuple(rows["label"].tolist()), values
-        )
+        ids = tuple(rows["id"].tolist())
+        if max(map(len, ids), default=0) > csv.field_size_limit():
+            raise ValueError("field larger than field limit")
+        table = FeatureTable(names, ids, tuple(rows["label"].tolist()), values)
     except ValueError as exc:
         failure = str(exc).partition("; use `usecols`")[0]
     if failure is not None or quote:
@@ -362,7 +350,7 @@ def table_from_csv(text: str) -> FeatureTable:
         # without it is only a fallback
         raise ValueError(_first_bad_row(buf, names, quote, failure))
     if not table.n_rows:
-        raise ValueError("feature CSV has no rows")
+        raise ValueError("no rows")
     return table
 
 

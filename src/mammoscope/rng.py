@@ -24,16 +24,10 @@ _BLOCK = 4096
 
 
 def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # state_{k+1 steps} = A[k] * state + C[k]  (mod 2**64)
-    a = np.empty(n, dtype=np.uint64)
-    c = np.empty(n, dtype=np.uint64)
-    ak, ck = MULTIPLIER, INCREMENT
-    for k in range(n):
-        a[k] = ak
-        c[k] = ck
-        ak = (ak * MULTIPLIER) & _MASK
-        ck = (ck * MULTIPLIER + INCREMENT) & _MASK
-    return a, c
+    # state_{k+1 steps} = A[k] * state + C[k]  (mod 2**64, as uint64 wraps), where
+    # A[k] = M**(k+1) and C[k] = I * (1 + M + ... + M**k)
+    a = np.cumprod(np.full(n, MULTIPLIER, dtype=np.uint64))
+    return a, INCREMENT * np.cumsum(np.insert(a[:-1], 0, 1))
 
 
 _JUMP_A, _JUMP_C = _jump_tables(_BLOCK)

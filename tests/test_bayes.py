@@ -20,16 +20,16 @@ from mammoscope.bayes import (
     train,
 )
 from mammoscope.errors import MammoscopeError
-from mammoscope.features import FeatureTable, FeatureVector, table_from_rows
+from mammoscope.features import FeatureTable, FeatureVector
 
 
 def make_table(rows):
     names = tuple(f"f{i}" for i in range(len(rows[0][1])))
-    return table_from_rows(
-        [
-            (f"img{i}", label, FeatureVector(names, np.array(values, dtype=float)))
-            for i, (label, values) in enumerate(rows)
-        ]
+    return FeatureTable(
+        names,
+        tuple(f"img{i}" for i in range(len(rows))),
+        tuple(label for label, _ in rows),
+        np.array([values for _, values in rows], dtype=float),
     )
 
 

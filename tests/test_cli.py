@@ -14,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mammoscope import cli
-from mammoscope.config import load_config, parse_config
+from mammoscope.config import load_config, parse_config, read_text
 from mammoscope.errors import MammoscopeError
+from mammoscope.features import LABELS, FeatureVector
 
 SMALL_CONFIG = """\
 # desk-scale run
@@ -72,6 +75,117 @@ class _InlineExecutor:
         future = Future()
         future.set_result(fn(*args))
         return future
+
+
+def _read_manifest(path: Path) -> list[tuple[str, str]]:
+    """Reference: the manifest reader ``extract`` had before it shared the feature CSV's.
+
+    One strict ``csv.reader`` pass; blank rows skipped; a ``path,label`` header, then
+    rows of a path and a known label, at least one of them.
+    """
+    try:
+        records = list(csv.reader(io.StringIO(read_text(path, "manifest")), strict=True))
+    except csv.Error as exc:
+        raise MammoscopeError(f"cannot parse manifest {path}: {exc}") from None
+    if not records:
+        raise MammoscopeError(f"manifest {path} is empty")
+    if records[0] != ["path", "label"]:
+        raise MammoscopeError(f"manifest {path} must have header path,label")
+    rows = []
+    for row in records[1:]:
+        if not row:
+            continue
+        if len(row) != 2 or row[1] not in LABELS:
+            raise MammoscopeError(f"bad manifest row {row!r}")
+        rows.append((row[0], row[1]))
+    if not rows:
+        raise MammoscopeError(f"manifest {path} lists no images")
+    return rows
+
+
+def _extract_a_constant(path, cfg):
+    """Stands in for ``cli._extract_one`` where only the manifest's rows matter."""
+    return FeatureVector(("f",), np.zeros(1))
+
+
+# csv's field limit while some examples run: the longest label, "suspicious", fits
+FIELD_LIMIT = 12
+LONG = "a" * FIELD_LIMIT
+MANIFEST_HEADER = st.sampled_from([
+    "path,label\n", "path,label\r\n", "\ufeffpath,label\n", '"path",label\n', "path,label",
+    "path,label,x\n", "path,label,\n", "path\n", "id,label\n", "", "\n",
+])
+GOOD_PATH = st.sampled_from([
+    "a.pgm", "é.pgm", "日本", "#c", "", " x ", "a\x00b", 'a"b', '"a,b.pgm"', '"say ""hi"""',
+    '"two\nlines"', '"\r\n"', LONG, f'"{LONG}"', LONG + "a",
+])
+GOOD_LABEL = st.sampled_from(["normal", "suspicious", '"normal"', '"suspicious"'])
+BAD_ROW = st.one_of(
+    st.builds("{},{}\n".format, st.sampled_from(['"x"y', '"x" ', '"open', f'"{LONG}"a']),
+              GOOD_LABEL),
+    st.builds("{},{}\n".format, GOOD_PATH, st.sampled_from(
+        ['"suspicious', '"normal"x', "Normal", "normal ", "normal\x00", "benign", ""])),
+    st.builds("{},{}{}\n".format, GOOD_PATH, GOOD_LABEL,
+              st.sampled_from([",", ",extra", ",1.0,2.0", ',"'])),
+    st.sampled_from([" \n", "\x00\n", "#\n", '"\n', ",\n", "normal\n", "a\rb,normal\n"]),
+)
+
+
+@st.composite
+def manifest_bodies(draw):
+    """Rows the reference reads at csv's default field limit, with at most one it
+    rejects somewhere among them."""
+    extra = draw(st.sampled_from(["", "", ",1.0"]))  # a feature column on every good row
+    rows = draw(st.lists(
+        st.one_of(
+            st.builds("{},{}{}{}".format, GOOD_PATH, GOOD_LABEL, st.just(extra),
+                      st.sampled_from(["\n", "\r\n", "\r"])),
+            st.sampled_from(["\n", "\r\n"]),
+        ),
+        max_size=5,
+    ))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(BAD_ROW))
+    body = "".join(rows)
+    return body.rstrip("\r\n") if draw(st.booleans()) else body
+
+
+class TestManifestReader:
+    """``extract`` reads a manifest as a feature CSV with no feature columns."""
+
+    # the one manifest file and the patched extractor serve every example
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        header=st.one_of(st.just("path,label\n"), MANIFEST_HEADER),
+        body=manifest_bodies(),
+        limit=st.sampled_from([None, FIELD_LIMIT]),
+    )
+    def test_accepts_what_the_csv_reader_accepted(self, tmp_path, monkeypatch, header, body,
+                                                  limit):
+        """Same (path, label) rows where the reference reads the manifest, exit 2 where not."""
+        monkeypatch.setattr(cli, "_extract_one", _extract_a_constant)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes((header + body).encode("utf-8"))
+        feats = tmp_path / "features.csv"
+        feats.unlink(missing_ok=True)
+        default_limit = csv.field_size_limit(limit) if limit else None
+        try:
+            try:
+                expected = _read_manifest(manifest)
+            except MammoscopeError:
+                expected = None
+            status = run(["extract", "--manifest", str(manifest), "--out", str(feats)])
+        finally:
+            if default_limit is not None:
+                csv.field_size_limit(default_limit)
+        if expected is None:
+            assert status == 2
+            assert not feats.exists()
+        else:
+            assert status == 0
+            rows = list(csv.reader(io.StringIO(feats.read_bytes().decode("utf-8"))))
+            assert [tuple(row[:2]) for row in rows[1:]] == expected
 
 
 class TestConfig:
@@ -168,6 +282,32 @@ class TestPhantomCommand:
             f"phantom_{index:04d}_normal.pgm" for index in range(3)
         ]
 
+    def test_failed_rerun_leaves_no_manifest_of_two_sets(self, workdir, capsys, monkeypatch):
+        """Images 0-2 of seed 78 replace those of seed 77; no manifest lists that mix."""
+        tmp_path, _ = workdir
+        six = SMALL_CONFIG.replace("phantom.count_per_class = 6", "phantom.count_per_class = 3")
+        first, second = tmp_path / "77.cfg", tmp_path / "78.cfg"
+        first.write_text(six)
+        second.write_text(six.replace("phantom.seed = 77", "phantom.seed = 78"))
+        out = tmp_path / "images"
+        assert run(["phantom", "--config", str(first), "--out", str(out)]) == 0
+        assert len(list(out.glob("*.pgm"))) == 6
+        render_image = cli.phantom.render_image
+
+        def fail_at_3(phantom_cfg, index):
+            if index == 3:
+                raise MemoryError("simulated allocation failure")
+            return render_image(phantom_cfg, index)
+
+        monkeypatch.setattr(cli.phantom, "render_image", fail_at_3)
+        capsys.readouterr()
+        assert run(["phantom", "--config", str(second), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot render phantom set: simulated allocation failure\n"
+        )
+        assert not (out / "manifest.csv").exists()
+        assert len(list(out.glob("*.pgm"))) == 6
+
     def test_renders_and_writes_one_image_at_a_time(self, tmp_path):
         """24 float64 images of 256 x 256 take 12 MiB if held together."""
         cfg = tmp_path / "phantom.cfg"
@@ -242,16 +382,26 @@ class TestExtractCommand:
                     "--out", str(feats)]) == 2
         assert not feats.exists()
         err = capsys.readouterr().err
-        assert f"cannot parse manifest {manifest}: field larger than field limit" in err
-        assert "Traceback" not in err
+        assert err == (f"error: bad manifest {manifest}: row <unreadable> (data row 1): "
+                       f"field larger than field limit ({csv.field_size_limit()})\n")
 
     @pytest.mark.parametrize("edit, reason", [
         pytest.param(
             lambda text: text.replace("phantom_0000_normal.pgm", '"phantom_0000_normal".pgm'),
-            "',' expected after '\"'", id="text-after-closing-quote",
+            "row 'phantom_0000_normal.pgm' (data row 1): text after closing quote",
+            id="text-after-closing-quote",
         ),
         pytest.param(
-            lambda text: text + 'x.pgm,"normal', "unexpected end of data", id="quote-never-closed",
+            lambda text: text + 'x.pgm,"normal',
+            "row 'x.pgm' (data row 13): quoted field never closes", id="quote-never-closed",
+        ),
+        pytest.param(  # the label csv reads, 'normal\n', is not named
+            lambda text: text + 'x.pgm,"normal\n',
+            "row 'x.pgm' (data row 13): quoted field never closes", id="quote-before-label",
+        ),
+        pytest.param(  # nor are the three fields csv reads
+            lambda text: text + '"x"y.pgm,normal,abc\n',
+            "row 'xy.pgm' (data row 13): text after closing quote", id="quote-before-field-count",
         ),
     ])
     def test_malformed_manifest_quoting_is_exit_2(self, workdir, capsys, edit, reason):
@@ -265,7 +415,7 @@ class TestExtractCommand:
         assert run(["extract", "--config", cfg, "--manifest", str(manifest),
                     "--out", str(feats)]) == 2
         assert not feats.exists()
-        assert capsys.readouterr().err == f"error: cannot parse manifest {manifest}: {reason}\n"
+        assert capsys.readouterr().err == f"error: bad manifest {manifest}: {reason}\n"
 
     def test_quoted_manifest_path_extracts(self, workdir):
         tmp_path, cfg = workdir
@@ -487,10 +637,13 @@ class TestMalformedFeatureCsv:
             (_small_csv() + 'cut,normal,1,"2\n', "row 'cut' (data row 13): quoted field never"),
             (_small_csv_with_row(3, 'r3,normal,"1"2,2'),
              "row 'r3' (data row 4): text after closing quote"),
+            ('id,label\nx,"normal\n', "row 'x' (data row 1): quoted field never closes"),
+            ('id,label,a\n"x"y,normal,abc\n', "row 'xy' (data row 1): text after closing quote"),
         ],
         ids=["duplicate-name", "header-only", "header-and-blank-lines", "too-many-values",
              "too-few-values", "empty-field", "garbage-token", "digit-separator", "bad-label",
-             "open-quote-at-end", "text-after-closing-quote"],
+             "open-quote-at-end", "text-after-closing-quote", "quote-before-label",
+             "quote-before-value"],
     )
     def test_rejected_with_exit_2_and_nothing_written(
         self, workdir, tmp_path, capsys, command, text, message

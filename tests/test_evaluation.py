@@ -28,7 +28,7 @@ from mammoscope.evaluation import (
     sensitivity,
     specificity,
 )
-from mammoscope.features import FeatureVector, select_features, table_from_rows
+from mammoscope.features import FeatureTable, FeatureVector, select_features
 from mammoscope.rng import Rng
 
 N, S = "normal", "suspicious"
@@ -212,16 +212,17 @@ class TestRoc:
         assert area == curve.auc
 
 
+def one_feature_table(labels):
+    """Rows ``r0, r1, ...`` with the given labels and one feature ``f`` holding the row number."""
+    n = len(labels)
+    return FeatureTable(("f",), tuple(f"r{i}" for i in range(n)), tuple(labels),
+                        np.arange(n, dtype=float).reshape(n, 1))
+
+
 class TestKfold:
     @staticmethod
     def table(n_normal, n_susp):
-        rows = []
-        for i in range(n_normal + n_susp):
-            label = N if i < n_normal else S
-            rows.append(
-                (f"r{i}", label, FeatureVector(("f",), np.array([float(i)])))
-            )
-        return table_from_rows(rows)
+        return one_feature_table([N] * n_normal + [S] * n_susp)
 
     @staticmethod
     def fold_labels(table, k, seed):
@@ -279,10 +280,7 @@ class TestKfold:
         n_normal, n_susp = (int(n) for n in rng.integers(7, 40, size=2))
         labels = [N] * n_normal + [S] * n_susp
         rng.shuffle(labels)
-        table = table_from_rows(
-            (f"r{i}", label, FeatureVector(("f",), np.array([float(i)])))
-            for i, label in enumerate(labels)
-        )
+        table = one_feature_table(labels)
         for k in range(2, 8):
             splits = kfold_indices(table, k, seed)
             assert splits == self.reference_splits(labels, k, seed)
@@ -316,13 +314,14 @@ class TestCrossValidation:
     def table(seed, n_rows=90, n_features=7):
         rng = np.random.default_rng(seed)
         names = tuple(f"f{i}" for i in range(n_features))
-        rows = []
-        for i in range(n_rows):
+        labels, rows = [], []
+        for _ in range(n_rows):
             label = S if rng.random() < 0.4 else N
             shift = 0.8 if label == S else 0.0
-            values = rng.standard_normal(n_features) * rng.uniform(0.5, 3.0) + shift
-            rows.append((f"r{i}", label, FeatureVector(names, values)))
-        return table_from_rows(rows)
+            labels.append(label)
+            rows.append(rng.standard_normal(n_features) * rng.uniform(0.5, 3.0) + shift)
+        return FeatureTable(names, tuple(f"r{i}" for i in range(n_rows)), tuple(labels),
+                            np.array(rows))
 
     @staticmethod
     def per_row_scores(table, cfg):

@@ -33,7 +33,6 @@ from mammoscope.features import (
     stddev,
     suspicious_mask,
     table_from_csv,
-    table_from_rows,
     table_to_csv,
 )
 from mammoscope.fourier import dft2d_direct, fft2d, half_log_magnitude, log_magnitude
@@ -394,19 +393,19 @@ class TestFeatureVector:
 
 
 def small_table():
-    rows = []
-    for i, (label, v) in enumerate(
-        [
-            ("normal", [0.0, 5.0, 1.0]),
-            ("normal", [0.2, 6.0, 1.1]),
-            ("normal", [0.1, 4.0, 0.9]),
-            ("suspicious", [1.0, 5.5, 1.0]),
-            ("suspicious", [1.2, 4.5, 1.1]),
-            ("suspicious", [1.1, 5.0, 0.9]),
-        ]
-    ):
-        rows.append((f"img{i}", label, FeatureVector(("f0", "f1", "f2"), np.array(v))))
-    return table_from_rows(rows)
+    return FeatureTable(
+        ("f0", "f1", "f2"),
+        tuple(f"img{i}" for i in range(6)),
+        ("normal",) * 3 + ("suspicious",) * 3,
+        np.array([
+            [0.0, 5.0, 1.0],
+            [0.2, 6.0, 1.1],
+            [0.1, 4.0, 0.9],
+            [1.0, 5.5, 1.0],
+            [1.2, 4.5, 1.1],
+            [1.1, 5.0, 0.9],
+        ]),
+    )
 
 
 class TestFeatureTable:
@@ -417,12 +416,6 @@ class TestFeatureTable:
         assert back.ids == table.ids
         assert back.labels == table.labels
         assert np.array_equal(back.values, table.values)
-
-    def test_header_mismatch_rejected(self):
-        good = FeatureVector(("a", "b"), np.array([1.0, 2.0]))
-        bad = FeatureVector(("a", "c"), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            table_from_rows([("x", "normal", good), ("y", "normal", bad)])
 
     def test_subset_matches_a_table_built_from_its_rows(self):
         table = small_table()
@@ -444,9 +437,8 @@ class TestFeatureTable:
         assert np.array_equal(sub.values[:, 1], table.values[:, 0])
 
     def test_bad_label_rejected(self):
-        vec = FeatureVector(("a",), np.array([1.0]))
         with pytest.raises(ValueError):
-            table_from_rows([("x", "benign", vec)])
+            FeatureTable(("a",), ("x",), ("benign",), np.ones((1, 1)))
 
     @pytest.mark.parametrize("label", ["suspicious\x00", "normal ", "Suspicious"])
     def test_near_miss_label_rejected(self, label):
@@ -687,15 +679,22 @@ class TestCsvParse:
              "row 'y' (data row 2): unknown label 'benign'"),
             ("id,label,a\nx,normal,1\ny,normal,-inf\nz,benign,3\n",
              "row 'y' (data row 2): non-finite value for 'a'"),
+            ('id,label\nx,"normal\n', "row 'x' (data row 1): quoted field never closes"),
+            ('id,label,a\n"x"y,normal,abc\n', "row 'xy' (data row 1): text after closing quote"),
+            ('path,label\nx,"normal\n', "row 'x' (data row 1): quoted field never closes"),
+            ('path,label\n"x"y,normal,abc\n', "row 'xy' (data row 1): text after closing quote"),
         ],
         ids=["two-such-rows", "before-a-row-loadtxt-rejects", "after-a-row-loadtxt-rejects",
              "label-before-a-row-loadtxt-rejects", "label-before-a-non-finite-value",
-             "non-finite-value-before-a-label"],
+             "non-finite-value-before-a-label", "quote-before-its-label",
+             "quote-before-its-value", "manifest-quote-before-its-label",
+             "manifest-quote-before-its-field-count"],
     )
     def test_text_after_closing_quote_names_the_first_bad_row(self, text, message):
-        """The first bad row in file order is named, whatever is wrong with it."""
+        """The first bad row in file order is named, whatever is wrong with it; in that row a
+        quote error is named before the label or value csv reads past it."""
         with pytest.raises(ValueError) as info:
-            table_from_csv(text)
+            table_from_csv(text, key=text.partition(",")[0])
         assert str(info.value) == message
 
     @pytest.mark.parametrize("header", ['id,label,"a"b', 'id,label,"a'])
@@ -853,24 +852,20 @@ class TestSelectFeatures:
         rng = np.random.default_rng(11)
         rows = []
         for i in range(10):
-            label = "normal" if i < 5 else "suspicious"
             noisy = rng.random()
             separ = (0.0 if i < 5 else 10.0) + rng.random() * 0.01
-            rows.append(
-                (f"r{i}", label, FeatureVector(("noise", "sep"), np.array([noisy, separ])))
-            )
-        table = table_from_rows(rows)
+            rows.append([noisy, separ])
+        table = FeatureTable(("noise", "sep"), tuple(f"r{i}" for i in range(10)),
+                             ("normal",) * 5 + ("suspicious",) * 5, np.array(rows))
         assert select_features(table, 1) == ["sep"]
 
     def test_duplicating_all_rows_keeps_ranking(self):
         table = small_table()
-        doubled = table_from_rows(
-            [
-                (f"{table.ids[i]}_{rep}", table.labels[i],
-                 FeatureVector(table.names, table.values[i]))
-                for rep in range(2)
-                for i in range(table.n_rows)
-            ]
+        doubled = FeatureTable(
+            table.names,
+            tuple(f"{rid}_{rep}" for rep in range(2) for rid in table.ids),
+            table.labels * 2,
+            np.vstack([table.values, table.values]),
         )
         assert select_features(table, 3) == select_features(doubled, 3)
 
@@ -882,9 +877,7 @@ class TestSelectFeatures:
             select_features(table, 4)
 
     def test_insufficient_rows(self):
-        vec = FeatureVector(("a",), np.array([1.0]))
-        table = table_from_rows(
-            [("x", "normal", vec), ("y", "suspicious", vec), ("z", "normal", vec)]
-        )
+        table = FeatureTable(("a",), ("x", "y", "z"), ("normal", "suspicious", "normal"),
+                             np.ones((3, 1)))
         with pytest.raises(MammoscopeError, match="need at least 2 rows per class"):
             select_features(table, 1)

@@ -13,6 +13,9 @@ that only its unit test calls is flagged too.
 
 The package raises one exception type on bad input: its callers turn any
 failure into exit 2 or a per-image failure line, so none tells kinds apart.
+
+Manifests and feature CSVs are one dialect with one reader: only
+``features.py`` may call a ``csv`` reader.
 """
 
 import ast
@@ -155,6 +158,54 @@ class TestSurface:
     def test_every_private_name_is_used(self):
         """Only the package counts: a helper that just its unit test imports is dead."""
         assert unreached(_package(), [], private=True) == []
+
+
+CSV_READERS = ("reader", "DictReader")
+
+
+def _csv_readers(source: str) -> int:
+    """How often ``source`` names a ``csv`` reader: ``csv.reader`` or ``csv.DictReader``
+    under ``csv`` or an alias it imports ``csv`` as, or either imported from ``csv``."""
+    tree = ast.parse(source)
+    modules = {"csv"} | {
+        a.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "csv" and a.asname
+    }
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr in CSV_READERS:
+                count += 1
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            count += sum(a.name in CSV_READERS for a in node.names)
+    return count
+
+
+def _csv_reading_modules(package: dict[str, str]) -> list[str]:
+    return [name for name, source in package.items() if _csv_readers(source)]
+
+
+class TestOneReader:
+    @pytest.mark.parametrize("source, readers", [
+        ("import csv\nrows = list(csv.reader(f))\n", 1),
+        ("csv.reader(f, strict=True)\ncsv.DictReader(f)\n", 2),
+        ("import csv as c\nc.reader(f)\n", 1),
+        ("from csv import reader\n", 1),
+        ("from csv import DictReader as R, writer\n", 1),
+        ("import csv\ncsv.writer(f)\ncsv.field_size_limit()\ncsv.Error\n", 0),
+        ("reader(f)\nself.reader(f)\n", 0),
+    ])
+    def test_detector(self, source, readers):
+        assert _csv_readers(source) == readers
+
+    def test_features_holds_the_only_csv_reader(self):
+        """Manifests and feature CSVs are both parsed by ``features.table_from_csv``."""
+        assert _csv_reading_modules(_package()) == ["features"]
+
+    def test_a_manifest_reader_back_in_cli_is_caught(self):
+        package = _package()
+        package["cli"] += "\n\ndef _read_manifest(text):\n    return list(csv.reader(text))\n"
+        assert _csv_reading_modules(package) == ["cli", "features"]
 
 
 class TestOneErrorType:
