@@ -35,6 +35,8 @@ class GaussianNbModel:
     variances: np.ndarray  # shape (2, n_features)
 
     def __post_init__(self):
+        if self.classes != LABELS:  # scores and save_model index the classes in this order
+            raise MammoscopeError(f"classes {self.classes} are not in the order {LABELS}")
         if not self.feature_names or len(set(self.feature_names)) != len(self.feature_names):
             raise MammoscopeError(f"feature names {self.feature_names} are empty or repeat")
         if not all(np.isfinite(a).all() for a in (self.priors, self.means, self.variances)):

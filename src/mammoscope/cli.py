@@ -91,7 +91,7 @@ def _rendered(cfg: phantom.PhantomConfig):
     """The phantom set one image at a time; a failed render is a MammoscopeError."""
     try:
         yield from phantom.render_set(cfg)
-    except (MemoryError, ValueError) as exc:
+    except (MemoryError, OverflowError, ValueError) as exc:
         raise MammoscopeError(f"cannot render phantom set: {exc}") from None
 
 

@@ -50,8 +50,6 @@ def _choice(allowed: tuple[str, ...], raw: str) -> str:
 # key -> (PipelineConfig field, attribute of that section or None, parser)
 _KEYS = {
     "preprocess.threshold": ("preprocess", "threshold", _finite_float),
-    "preprocess.orient": ("preprocess", "orient", _parse_bool),
-    "preprocess.artifact_removal": ("preprocess", "artifact_removal", _parse_bool),
     "wavelet.filter": ("features", "filter", partial(_choice, FILTER_NAMES)),
     "wavelet.levels": ("features", "levels", int),
     "features.mode": ("features", "mode", partial(_choice, FEATURE_MODES)),

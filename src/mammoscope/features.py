@@ -259,12 +259,18 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | Non
     A row is bad if it holds the offset of ``_quote_problem``'s pair, loadtxt rejects
     it, its label is unknown or a value is not finite; a quote error is named before
     the symptoms it causes in its own row. A row that ``csv`` cannot split has no id
-    to name, so it is reported by number; so is the row after the last when ``csv``
-    finds nothing wrong, with loadtxt's message ``failure`` as the reason.
+    to name, so it is reported by number; so is a row whose id or label is longer
+    than ``csv.field_size_limit()``, and the row after the last when ``csv`` finds
+    nothing wrong, with loadtxt's message ``failure`` as the reason. The limit is
+    lifted while the rows are split, so a long value token is read as a value.
     """
     number = 0
+    limit = csv.field_size_limit(2**31 - 1)  # the largest limit a 32-bit C long holds
     try:
         for number, row in enumerate(filter(None, csv.reader(rows)), start=1):
+            if any(len(key) > limit for key in row[:2]):
+                reason = f"field larger than field limit ({limit})"
+                return f"row <unreadable> (data row {number}): {reason}"
             where = f"row {row[0]!r} (data row {number})"
             # csv reads a StringIO line by line, so tell() is where this record ends
             if quote and rows.tell() > quote[0]:
@@ -281,6 +287,8 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | Non
     except csv.Error as exc:
         reason = str(exc).partition(" - ")[0]
         return f"row <unreadable> (data row {number + 1}): {reason}"
+    finally:
+        csv.field_size_limit(limit)
     return f"row <unreadable> (data row {number + 1}): {failure}"
 
 

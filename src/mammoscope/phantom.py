@@ -47,7 +47,7 @@ class PhantomConfig:
             raise ValueError("noise_sigma must be >= 0")
         if self.mass_amplitude <= 0 or self.microcalc_amplitude <= 0:
             raise ValueError("amplitudes must be positive")
-        if not 0 < self.mass_radius < self.size / 4:
+        if not 0 < 4 * self.mass_radius < self.size:  # size / 4 overflows a float past 1e308
             raise ValueError("mass_radius must lie in (0, size/4)")
         if self.microcalc_count < 3:
             raise ValueError("microcalc_count must be >= 3")

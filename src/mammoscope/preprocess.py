@@ -1,9 +1,9 @@
 """Appearance regularization ahead of feature extraction.
 
-The steps run in a fixed order: orientation matching, binary background
+Every image runs one fixed chain: orientation matching, binary background
 thresholding, artifact removal by connected-component retention, masking,
-and intensity matching. Each step is a pure function so the batch runner
-can process images concurrently.
+and intensity matching; only the threshold is configurable. Each step is a
+pure function so the batch runner can process images concurrently.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 @dataclass(frozen=True)
 class PreprocessConfig:
     threshold: float = 0.1
-    orient: bool = True
-    artifact_removal: bool = True
 
 
 def orient(img: GrayImage) -> GrayImage:
@@ -46,11 +44,6 @@ def orient(img: GrayImage) -> GrayImage:
     return img
 
 
-def threshold(img: GrayImage, t: float) -> np.ndarray:
-    """Boolean mask, True wherever pixel >= t (inclusive, so t=0 keeps everything)."""
-    return img.pixels >= t
-
-
 def largest_component(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 4-connected foreground component.
 
@@ -68,13 +61,6 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
     return labels == np.argmax(sizes)
 
 
-def apply_mask(img: GrayImage, mask: np.ndarray) -> GrayImage:
-    """Zero every pixel outside the boolean mask."""
-    if img.pixels.shape != mask.shape:
-        raise MammoscopeError(f"image {img.pixels.shape} vs mask {mask.shape}")
-    return GrayImage(img.pixels * mask)
-
-
 def normalize_intensity(img: GrayImage) -> GrayImage:
     """Scale so the brightest pixel is exactly 1.0."""
     peak = float(img.pixels.max())
@@ -86,10 +72,7 @@ def normalize_intensity(img: GrayImage) -> GrayImage:
 def preprocess_pipeline(
     img: GrayImage, cfg: PreprocessConfig = PreprocessConfig()
 ) -> GrayImage:
-    """Run the full regularization chain on one image."""
-    out = orient(img) if cfg.orient else img
-    mask = threshold(out, cfg.threshold)
-    if cfg.artifact_removal:
-        mask = largest_component(mask)
-    out = apply_mask(out, mask)
-    return normalize_intensity(out)
+    """Run the regularization chain on one image; ``>= cfg.threshold`` is foreground."""
+    out = orient(img).pixels
+    mask = largest_component(out >= cfg.threshold)
+    return normalize_intensity(GrayImage(out * mask))

@@ -110,6 +110,16 @@ class TestModelCheck:
         with pytest.raises(MammoscopeError, match=message):
             GaussianNbModel(**(parts | {field: value}))
 
+    @pytest.mark.parametrize("classes", [("suspicious", "normal"), ("normal", "benign")])
+    def test_classes_other_than_the_label_order_are_rejected(self, classes):
+        parts = {"priors": np.array([0.25, 0.75]), "feature_names": ("a",),
+                 "means": np.zeros((2, 1)), "variances": np.ones((2, 1))}
+        with pytest.raises(MammoscopeError) as info:
+            GaussianNbModel(classes, **parts)
+        assert str(info.value) == (
+            f"classes {classes} are not in the order ('normal', 'suspicious')"
+        )
+
     def test_train_rejects_overflowing_variance(self):
         table = make_table([("normal", [1e308]), ("normal", [-1e308]),
                             ("suspicious", [1e308]), ("suspicious", [-1e308])])

@@ -209,8 +209,8 @@ class TestConfig:
     def test_bad_value(self):
         with pytest.raises(MammoscopeError, match="wavelet.filter: expected one of"):
             parse_config("wavelet.filter = sym8")
-        with pytest.raises(MammoscopeError, match="preprocess.orient: expected on/off"):
-            parse_config("preprocess.orient = yes")
+        with pytest.raises(MammoscopeError, match="phantom.artifact_label: expected on/off"):
+            parse_config("phantom.artifact_label = yes")
         with pytest.raises(MammoscopeError, match="classifier.threshold must lie in"):
             parse_config("classifier.threshold = 1.5")
 
@@ -240,10 +240,11 @@ class TestPhantomCommand:
         assert status == 2
         assert "error" in capsys.readouterr().err
 
-    def test_unrenderable_size_is_exit_2_and_writes_nothing(self, workdir, capsys):
+    @pytest.mark.parametrize("size", [10**30, 10**400], ids=["huge", "past-the-float-range"])
+    def test_unrenderable_size_is_exit_2_and_writes_nothing(self, workdir, capsys, size):
         tmp_path, _ = workdir
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text(SMALL_CONFIG.replace("phantom.size = 48", f"phantom.size = {10**30}"))
+        cfg.write_text(SMALL_CONFIG.replace("phantom.size = 48", f"phantom.size = {size}"))
         out = tmp_path / "images"
         assert run(["phantom", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot render phantom set: ")

@@ -17,10 +17,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 EVERY_KEY = [
     ("preprocess.threshold", "0.25",
      replace(DEFAULT, preprocess=replace(DEFAULT.preprocess, threshold=0.25))),
-    ("preprocess.orient", "off",
-     replace(DEFAULT, preprocess=replace(DEFAULT.preprocess, orient=False))),
-    ("preprocess.artifact_removal", "off",
-     replace(DEFAULT, preprocess=replace(DEFAULT.preprocess, artifact_removal=False))),
     ("wavelet.filter", "haar",
      replace(DEFAULT, features=replace(DEFAULT.features, filter="haar"))),
     ("wavelet.levels", "2", replace(DEFAULT, features=replace(DEFAULT.features, levels=2))),
@@ -71,8 +67,7 @@ class TestEveryKey:
     def test_all_keys_together_compose(self):
         text = "\n".join(f"{key} = {raw}" for key, raw, _ in EVERY_KEY)
         cfg = parse_config(text)
-        assert cfg.preprocess == replace(DEFAULT.preprocess, threshold=0.25, orient=False,
-                                         artifact_removal=False)
+        assert cfg.preprocess == replace(DEFAULT.preprocess, threshold=0.25)
         assert cfg.features == replace(DEFAULT.features, filter="haar", levels=2,
                                        mode="extended")
         assert (cfg.select_k, cfg.classifier_threshold, cfg.cv_folds, cfg.cv_seed) == (
@@ -94,9 +89,15 @@ class TestReadmeSync:
     def test_readme_block_parses_to_defaults_plus_select_k(self):
         assert parse_config(readme_ini_block()) == replace(DEFAULT, select_k=4)
 
-    def test_readme_lists_every_key(self):
-        keys = {line.split("=")[0].strip() for line in readme_ini_block().splitlines()}
-        assert keys == set(config._KEYS)
+    def test_readme_block_without_select_k_is_the_defaults(self):
+        lines = readme_ini_block().splitlines()
+        kept = [line for line in lines if line.split("=")[0].strip() != "select.k"]
+        assert len(kept) == len(lines) - 1
+        assert parse_config("\n".join(kept)) == PipelineConfig()
+
+    def test_readme_lists_every_key_in_order(self):
+        keys = [line.split("=")[0].strip() for line in readme_ini_block().splitlines()]
+        assert keys == list(config._KEYS)
 
 
 class TestLineSyntax:
@@ -115,6 +116,9 @@ class TestLineSyntax:
             ("\ncv.k 3  # note", "<config>:2: expected key = value, got 'cv.k 3  # note'"),
             ("wavelet.depth = 3", "<config>:1: unknown key 'wavelet.depth'"),
             ("Cv.K = 3", "<config>:1: unknown key 'Cv.K'"),
+            ("preprocess.orient = off", "<config>:1: unknown key 'preprocess.orient'"),
+            ("preprocess.artifact_removal = on",
+             "<config>:1: unknown key 'preprocess.artifact_removal'"),
             ("= 3", "<config>:1: unknown key ''"),
             ("cv.k = 2\n\ncv.k = 3", "<config>:3: duplicate key 'cv.k'"),
             ("cv.k = 2\ncv.k = 2", "<config>:2: duplicate key 'cv.k'"),
@@ -135,8 +139,8 @@ class TestParserErrors:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("preprocess.orient = yes",
-             "<config>:1: preprocess.orient: expected on/off, got 'yes'"),
+            ("phantom.artifact_label = yes",
+             "<config>:1: phantom.artifact_label: expected on/off, got 'yes'"),
             ("phantom.artifact_label = ON",
              "<config>:1: phantom.artifact_label: expected on/off, got 'ON'"),
             ("wavelet.filter = sym8",
@@ -175,12 +179,17 @@ class TestValidation:
             ("phantom.size = 8", "<config>: phantom: size must be >= 16"),
             ("phantom.mass_radius = 40",
              "<config>: phantom: mass_radius must lie in (0, size/4)"),
+            (f"phantom.size = {10**400}\nphantom.mass_radius = 1e308",
+             "<config>: phantom: mass_radius must lie in (0, size/4)"),
         ],
     )
     def test_rule_message(self, text, message):
         with pytest.raises(MammoscopeError) as info:
             parse_config(text)
         assert str(info.value) == message
+
+    def test_size_past_the_float_range_is_compared_exactly(self):
+        assert parse_config(f"phantom.size = {10**400}").phantom.size == 10**400
 
 
 class TestLoadConfig:

@@ -833,6 +833,29 @@ class TestCsvParse:
         with pytest.raises(ValueError, match="unreadable header"):
             table_from_csv("id,label," + "a" * 200_000 + "\nx,normal,1\n")
 
+    def test_long_value_token_does_not_hide_the_first_bad_row(self):
+        limit = csv.field_size_limit()
+        value = "0." + "0" * 200_000 + "1"
+        table = table_from_csv(f"id,label,a\nr1,normal,{value}\n")
+        assert table.values.tolist() == [[float(value)]]
+        assert csv.field_size_limit() == limit
+        with pytest.raises(ValueError) as info:
+            table_from_csv(f"id,label,a\nr1,normal,{value}\nr2,normal,abc\n")
+        assert str(info.value) == "row 'r2' (data row 2): cannot read 'abc' as a number for 'a'"
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize("row", ["{long},normal,1", "y,{long},1", '"{long}",normal,abc'],
+                             ids=["id", "label", "quoted-id-and-bad-value"])
+    def test_id_or_label_over_csv_limit_is_named_by_number(self, row):
+        limit = csv.field_size_limit()
+        text = "id,label,a\nx,normal,1\n" + row.format(long="n" * (limit + 1)) + "\n"
+        with pytest.raises(ValueError) as info:
+            table_from_csv(text)
+        assert str(info.value) == (
+            f"row <unreadable> (data row 2): field larger than field limit ({limit})"
+        )
+        assert csv.field_size_limit() == limit
+
 
 class TestSelectFeatures:
     def test_hand_computed_ranking(self):

@@ -1,6 +1,4 @@
-"""Tests for orientation, thresholding, artifact removal and normalization."""
-
-import re
+"""Tests for orientation, artifact removal, normalization and the fixed chain."""
 
 import numpy as np
 import pytest
@@ -12,12 +10,10 @@ from mammoscope.errors import MammoscopeError
 from mammoscope.imgio import GrayImage
 from mammoscope.preprocess import (
     PreprocessConfig,
-    apply_mask,
     largest_component,
     normalize_intensity,
     orient,
     preprocess_pipeline,
-    threshold,
 )
 
 
@@ -48,20 +44,6 @@ class TestOrient:
             once = orient(img)
             assert np.array_equal(orient(once).pixels, once.pixels)
             assert np.array_equal(orient(mirrored).pixels, once.pixels)
-
-
-class TestThreshold:
-    def test_inclusive_boundary(self):
-        mask = threshold(image([[0.1, 0.5, 0.9]]), 0.5)
-        assert mask.tolist() == [[False, True, True]]
-
-    def test_zero_keeps_everything(self):
-        mask = threshold(image([[0.0, 0.2], [0.9, 1.0]]), 0.0)
-        assert mask.all()
-
-    def test_one_keeps_only_full_intensity(self):
-        mask = threshold(image([[0.999, 1.0]]), 1.0)
-        assert mask.tolist() == [[False, True]]
 
 
 class TestLargestComponent:
@@ -139,28 +121,6 @@ class TestLargestComponent:
             assert not (kept & ~bits).any()
 
 
-class TestApplyMask:
-    def test_all_ones_identity(self):
-        img = image([[0.1, 0.9], [0.5, 0.2]])
-        out = apply_mask(img, np.ones((2, 2), dtype=bool))
-        assert np.array_equal(out.pixels, img.pixels)
-
-    def test_all_zeros(self):
-        img = image([[0.1, 0.9]])
-        out = apply_mask(img, np.zeros((1, 2), dtype=bool))
-        assert not out.pixels.any()
-
-    def test_checkerboard(self):
-        img = image([[1.0, 1.0], [1.0, 1.0]])
-        board = np.array([[True, False], [False, True]])
-        out = apply_mask(img, board)
-        assert out.pixels.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(MammoscopeError, match=re.escape("image (1, 1) vs mask (2, 2)")):
-            apply_mask(image([[1.0]]), np.ones((2, 2), dtype=bool))
-
-
 class TestNormalizeIntensity:
     def test_exact_scaling(self):
         out = normalize_intensity(image([[0.2, 0.4, 0.5]]))
@@ -213,14 +173,12 @@ class TestPipeline:
         out_b = preprocess_pipeline(mirrored)
         assert np.array_equal(out_a.pixels, out_b.pixels)
 
-    @pytest.mark.parametrize("cfg", [PreprocessConfig(), PreprocessConfig(orient=False),
-                                     PreprocessConfig(artifact_removal=False)])
-    def test_input_left_unchanged(self, cfg):
+    def test_input_left_unchanged(self):
         clean = np.zeros((10, 10))
         clean[2:8, 6:10] = 0.5
         for img in (_phantom_with_label()[0], GrayImage(clean)):
             before = img.pixels.copy()
-            preprocess_pipeline(img, cfg)
+            preprocess_pipeline(img)
             assert np.array_equal(img.pixels, before)
 
     def test_all_below_threshold_degenerates(self):
@@ -228,7 +186,17 @@ class TestPipeline:
         with pytest.raises(MammoscopeError, match="image has no positive intensity to normalize"):
             preprocess_pipeline(img, PreprocessConfig(threshold=0.5))
 
-    def test_toggles(self):
-        img, label_region = _phantom_with_label()
-        out = preprocess_pipeline(img, PreprocessConfig(artifact_removal=False))
-        assert out.pixels[label_region].any()  # sticker survives without removal
+    def test_threshold_is_inclusive(self):
+        out = preprocess_pipeline(image([[0.9, 0.5, 0.1]]), PreprocessConfig(threshold=0.5))
+        assert out.pixels.tolist() == [[1.0, 0.5 / 0.9, 0.0]]
+
+    def test_zero_threshold_keeps_every_pixel(self):
+        pixels = np.array([[1.0, 0.0, 0.2], [0.5, 0.0, 0.0]])
+        out = preprocess_pipeline(GrayImage(pixels), PreprocessConfig(threshold=0.0))
+        assert np.array_equal(out.pixels, pixels)
+        # at the default threshold the detached 0.2 pixel is an artifact
+        assert preprocess_pipeline(GrayImage(pixels)).pixels[0, 2] == 0.0
+
+    def test_threshold_one_keeps_only_full_intensity(self):
+        out = preprocess_pipeline(image([[1.0, 0.999]]), PreprocessConfig(threshold=1.0))
+        assert out.pixels.tolist() == [[1.0, 0.0]]
