@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MammoscopeError
-from .features import LABELS, NORMAL, SUSPICIOUS, FeatureTable, FeatureVector
+from .features import LABELS, NORMAL, SUSPICIOUS, FeatureTable, FeatureVector, _plain_number
 
 MODEL_VERSION = 1
 
@@ -162,9 +162,10 @@ def load_model(data: bytes) -> GaussianNbModel:
         parts = line.split()
         try:
             if parts[0] == "prior" and len(parts) == 3 and parts[1] not in priors:
-                priors[parts[1]] = float(parts[2])
+                priors[parts[1]] = _plain_number(float, parts[2])
             elif parts[0] == "gauss" and len(parts) == 5:
-                gauss[parts[1]].append((parts[2], float(parts[3]), float(parts[4])))
+                mean, variance = (_plain_number(float, token) for token in parts[3:])
+                gauss[parts[1]].append((parts[2], mean, variance))
             else:
                 raise MammoscopeError(f"unreadable record {line!r}")
         except (ValueError, KeyError):

@@ -11,7 +11,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import MammoscopeError
-from .features import FEATURE_MODES, FeatureConfig
+from .features import FEATURE_MODES, FeatureConfig, _plain_number
 from .phantom import PhantomConfig
 from .preprocess import PreprocessConfig
 from .wavelet import FILTER_NAMES
@@ -34,8 +34,11 @@ def _parse_bool(raw: str) -> bool:
     return raw == "on"
 
 
+_integer = partial(_plain_number, int)
+
+
 def _finite_float(raw: str) -> float:
-    value = float(raw)
+    value = _plain_number(float, raw)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {raw!r}")
     return value
@@ -51,19 +54,19 @@ def _choice(allowed: tuple[str, ...], raw: str) -> str:
 _KEYS = {
     "preprocess.threshold": ("preprocess", "threshold", _finite_float),
     "wavelet.filter": ("features", "filter", partial(_choice, FILTER_NAMES)),
-    "wavelet.levels": ("features", "levels", int),
+    "wavelet.levels": ("features", "levels", _integer),
     "features.mode": ("features", "mode", partial(_choice, FEATURE_MODES)),
-    "select.k": ("select_k", None, int),
+    "select.k": ("select_k", None, _integer),
     "classifier.threshold": ("classifier_threshold", None, _finite_float),
-    "cv.k": ("cv_folds", None, int),
-    "cv.seed": ("cv_seed", None, int),
-    "phantom.size": ("phantom", "size", int),
-    "phantom.count_per_class": ("phantom", "count_per_class", int),
-    "phantom.seed": ("phantom", "seed", int),
+    "cv.k": ("cv_folds", None, _integer),
+    "cv.seed": ("cv_seed", None, _integer),
+    "phantom.size": ("phantom", "size", _integer),
+    "phantom.count_per_class": ("phantom", "count_per_class", _integer),
+    "phantom.seed": ("phantom", "seed", _integer),
     "phantom.noise_sigma": ("phantom", "noise_sigma", _finite_float),
     "phantom.mass_amplitude": ("phantom", "mass_amplitude", _finite_float),
     "phantom.mass_radius": ("phantom", "mass_radius", _finite_float),
-    "phantom.microcalc_count": ("phantom", "microcalc_count", int),
+    "phantom.microcalc_count": ("phantom", "microcalc_count", _integer),
     "phantom.microcalc_amplitude": ("phantom", "microcalc_amplitude", _finite_float),
     "phantom.artifact_label": ("phantom", "artifact_label", _parse_bool),
 }

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MammoscopeError
 from .fourier import fft2d, half_log_magnitude
@@ -109,6 +108,7 @@ def cross_correlation(a, b) -> float:
     x = np.atleast_2d(_as_map(a))
     y = np.atleast_2d(_as_map(b))
     if x.shape != y.shape:
+        from scipy import ndimage  # here, not at module level: only image parsing pays for scipy
         axes = (np.linspace(0.0, m - 1.0, k) for m, k in zip(y.shape, x.shape))
         y = ndimage.map_coordinates(y, np.meshgrid(*axes, indexing="ij"), order=1)
     xc = x - x.mean()
@@ -251,6 +251,14 @@ def _reads_as_float(token: str) -> bool:
     except ValueError:
         return False
     return core.isascii() and "_" not in core
+
+
+def _plain_number(kind, token: str):
+    """``kind(token)`` for a token spelled as the feature CSV spells a number."""
+    value = kind(token)  # kind's own message for a token that reads as no number at all
+    if not _reads_as_float(token):
+        raise ValueError(f"expected a plain ASCII number, got {token!r}")
+    return value
 
 
 def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | None, failure) -> str:

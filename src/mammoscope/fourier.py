@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,7 @@ def dft2d_direct(matrix) -> Spectrum:
 
 def fft2d(matrix) -> Spectrum:
     """Fast transform of any real matrix, zero-padded to a power-of-two square."""
+    import scipy.fft  # here, not at module level: only image parsing pays for scipy
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     n = 1 << (max(*m.shape, 1) - 1).bit_length()
     # the row pass reads only the unpadded rows; the column pass pads them to N

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MammoscopeError
 from .imgio import GrayImage
@@ -51,6 +50,7 @@ def largest_component(mask: np.ndarray) -> np.ndarray:
     get cleared. An empty mask passes through unchanged. Equal-size ties go
     to the component containing the smallest row-major pixel index.
     """
+    from scipy import ndimage  # here, not at module level: only image parsing pays for scipy
     labels, count = ndimage.label(mask, structure=_FOUR_CONNECTED)
     if count < 2:  # an empty mask, or one component: labels == 1 is the mask itself
         return mask

@@ -357,8 +357,13 @@ class TestPersistence:
             (b"f0 0.0 2.5e-10", b"f0 0.0 nan", "non-finite model parameter"),
             (b"prior normal 0.5\n", b"prior normal 0.3\nprior normal 0.5\n",
              "unreadable record 'prior normal 0.5'"),
+            (b"prior normal 0.5", b"prior normal 0.5_0", "unreadable record 'prior normal 0.5_0'"),
+            (b"f0 0.0 ", b"f0 1_0 ", "unreadable record 'gauss normal f0 1_0 "),
+            (b"f0 0.0 2.5e-10", b"f0 0.0 2.5e-1_0",
+             "unreadable record 'gauss normal f0 0.0 2.5e-1_0'"),
         ],
-        ids=["nan-prior", "nan-mean", "nan-variance", "repeated-prior"],
+        ids=["nan-prior", "nan-mean", "nan-variance", "repeated-prior",
+             "separator-prior", "separator-mean", "separator-variance"],
     )
     def test_unscorable_file_rejected(self, old, new, message):
         data = save_model(train(make_table([("normal", [0.0]), ("suspicious", [1.0])])))

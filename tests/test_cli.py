@@ -3,10 +3,13 @@
 import ast
 import csv
 import io
+import json
 import multiprocessing
 import os
 import shutil
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
@@ -520,6 +523,80 @@ class TestExtractCommand:
         assert len(expected) == 12  # header + the other 11 rows, in manifest order
 
 
+# Runs in a fresh interpreter: argv[1] is a JSON list of CLI argvs, then the extract argv.
+# Prints, as its last line, the scipy modules loaded after each step, and the ones the
+# parent holds when extract builds its pool (stubbed, so tasks run inline).
+_SCIPY_PROBE = """
+import json, sys
+from concurrent.futures import Future
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+seen = {}
+import mammoscope
+seen["import mammoscope"] = loaded()
+from mammoscope import cli
+seen["import mammoscope.cli"] = loaded()
+*commands, extract = json.loads(sys.argv[1])
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+    seen[argv[0]] = loaded()
+
+class Executor:
+    def __init__(self, max_workers):
+        seen["pool"] = [name for name in ("scipy.fft", "scipy.ndimage") if name in sys.modules]
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+cli.ProcessPoolExecutor = Executor
+assert cli.main(extract) == 0
+print(json.dumps(seen))
+"""
+
+
+class TestScipyImport:
+    def test_only_extract_loads_scipy(self, workdir):
+        """Table commands never import scipy; ``extract --jobs 2`` imports it before the pool.
+
+        Needs a fresh interpreter: this one already holds scipy from other test modules.
+        """
+        tmp_path, cfg = workdir
+        feats, model = tmp_path / "f.csv", tmp_path / "m.txt"
+        feats.write_text(_small_csv())
+        images = tmp_path / "images"
+        argvs = [
+            ["phantom", "--config", cfg, "--out", str(images)],
+            ["train", "--features", str(feats), "--out", str(model)],
+            ["predict", "--features", str(feats), "--model", str(model),
+             "--out", str(tmp_path / "p.csv")],
+            ["evaluate", "--config", cfg, "--features", str(feats)],
+            ["extract", "--config", cfg, "--manifest", str(images / "manifest.csv"),
+             "--out", str(tmp_path / "x.csv"), "--jobs", "2"],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "import mammoscope": [],
+            "import mammoscope.cli": [],
+            "phantom": [],
+            "train": [],
+            "predict": [],
+            "evaluate": [],
+            "pool": ["scipy.fft", "scipy.ndimage"],
+        }
+
+
 def _pipeline_to_features(workdir):
     tmp_path, cfg = workdir
     out = tmp_path / "images"
@@ -832,6 +909,37 @@ class TestTrainPredict:
                     "--threshold", threshold, "--out", str(pred)]) == 2
         assert not pred.exists()
         assert "must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flag, threshold", [
+        ("classifier.threshold = 0.3\n", [], 0.3),
+        ("classifier.threshold = 0.3\n", ["--threshold", "0.7"], 0.7),
+        (None, [], 0.5),
+    ])
+    def test_predict_threshold_source(self, tmp_path, config, flag, threshold):
+        """``--threshold`` overrides the config's ``classifier.threshold``; with neither, 0.5."""
+        feats, model, pred = tmp_path / "f.csv", tmp_path / "m.txt", tmp_path / "p.csv"
+        feats.write_text(_small_csv())
+        assert run(["train", "--features", str(feats), "--out", str(model)]) == 0
+        argv = ["predict", "--features", str(feats), "--model", str(model), "--out", str(pred)]
+        if config is not None:
+            (tmp_path / "predict.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "predict.cfg")]
+        assert run(argv + flag) == 0
+        rows = list(csv.reader(io.StringIO(pred.read_text())))[1:]
+        labels = [label for _, _, label in rows]
+        assert labels == ["suspicious" if float(s) >= threshold else "normal" for _, s, _ in rows]
+        assert labels.count("suspicious") == {0.3: 9, 0.5: 6, 0.7: 2}[threshold]
+
+    def test_predict_bad_config_is_exit_2(self, tmp_path, capsys):
+        feats, model, pred = tmp_path / "f.csv", tmp_path / "m.txt", tmp_path / "p.csv"
+        feats.write_text(_small_csv())
+        assert run(["train", "--features", str(feats), "--out", str(model)]) == 0
+        (tmp_path / "predict.cfg").write_text("classifier.threshold = 1.5\n")
+        assert run(["predict", "--features", str(feats), "--model", str(model),
+                    "--config", str(tmp_path / "predict.cfg"), "--threshold", "0.5",
+                    "--out", str(pred)]) == 2
+        assert "classifier.threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not pred.exists()
 
     def test_selection_recorded_in_model(self, workdir, tmp_path):
         _, cfg_path = workdir

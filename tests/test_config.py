@@ -53,6 +53,17 @@ FLOAT_KEYS = [
     "phantom.microcalc_amplitude",
 ]
 
+INT_KEYS = [
+    "wavelet.levels",
+    "select.k",
+    "cv.k",
+    "cv.seed",
+    "phantom.size",
+    "phantom.count_per_class",
+    "phantom.seed",
+    "phantom.microcalc_count",
+]
+
 
 def readme_ini_block() -> str:
     return re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
@@ -167,6 +178,27 @@ class TestParserErrors:
         assert str(info.value) == f"<config>:2: {key}: expected a finite number, got {raw!r}"
 
 
+    @pytest.mark.parametrize("key", INT_KEYS + FLOAT_KEYS)
+    @pytest.mark.parametrize("raw", ["1_0", "2_0_0", "\u0663", "1\u0660", "\uff17"],
+                             ids=["separator", "separators", "arabic-indic", "mixed", "fullwidth"])
+    def test_python_only_spelling_is_rejected(self, key, raw):
+        """Only the ASCII spellings the feature CSV reads: ``int()`` and ``float()`` take more."""
+        with pytest.raises(MammoscopeError) as info:
+            parse_config(f"# header\n{key} = {raw}")
+        assert str(info.value) == f"<config>:2: {key}: expected a plain ASCII number, got {raw!r}"
+
+    @pytest.mark.parametrize("line, expected", [
+        ("cv.k = +3", replace(DEFAULT, cv_folds=3)),
+        ("cv.k = 007", replace(DEFAULT, cv_folds=7)),
+        ("cv.seed = -4", replace(DEFAULT, cv_seed=-4)),
+        ("classifier.threshold = .25", replace(DEFAULT, classifier_threshold=0.25)),
+        ("classifier.threshold = 2.5E-1", replace(DEFAULT, classifier_threshold=0.25)),
+        ("classifier.threshold = +0.75", replace(DEFAULT, classifier_threshold=0.75)),
+    ])
+    def test_ascii_spellings_still_read(self, line, expected):
+        assert parse_config(line) == expected
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "text, message",
@@ -226,6 +258,15 @@ class TestCommandExit:
         assert cli.main(["phantom", "--config", str(cfg), "--out", str(out)]) == 2
         assert "expected a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_digit_separator_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("cv.seed = 1\ncv.k = 1_0\n", encoding="utf-8")
+        features = tmp_path / "features.csv"
+        features.write_text("id,label,a\nx,normal,1\ny,suspicious,2\n", encoding="utf-8")
+        assert cli.main(["evaluate", "--config", str(cfg), "--features", str(features)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:2: cv.k: expected a plain ASCII number, got '1_0'\n"
 
     def test_undecodable_config_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "pipeline.cfg"

@@ -16,6 +16,11 @@ failure into exit 2 or a per-image failure line, so none tells kinds apart.
 
 Manifests and feature CSVs are one dialect with one reader: only
 ``features.py`` may call a ``csv`` reader.
+
+Only image parsing needs scipy, and importing it more than doubles the
+package's import time, so the package imports it inside the functions
+that use it, never at module or class level: ``import mammoscope`` and
+the table commands stay without it.
 """
 
 import ast
@@ -214,3 +219,48 @@ class TestOneErrorType:
         for path in sorted((ROOT / "src" / PACKAGE).glob("*.py")):
             importlib.import_module(PACKAGE if path.stem == "__init__" else f"{PACKAGE}.{path.stem}")
         assert MammoscopeError.__subclasses__() == []
+
+
+def _eager_scipy_imports(source: str, filename: str) -> list[str]:
+    """``file:line`` of each ``scipy`` import in ``source`` that is not inside a function body."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        if not in_function and any(m.partition(".")[0] == "scipy" for m in modules):
+            found.append(f"{filename}:{node.lineno}")
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+class TestLazyScipy:
+    @pytest.mark.parametrize("source, lines", [
+        ("import scipy.fft\n", [1]),
+        ("import numpy as np\nfrom scipy import ndimage\n", [2]),
+        ("import os, scipy\n", [1]),
+        ("try:\n    import scipy.ndimage as nd\nexcept ImportError:\n    pass\n", [2]),
+        ("class C:\n    from scipy import fft\n", [2]),
+        ("def f():\n    import scipy.fft\n    from scipy import ndimage\n", []),
+        ("class C:\n    def f(self):\n        from scipy import fft\n", []),
+        ("async def f():\n    import scipy\n", []),
+        ("import scipyish\nfrom . import scipy\n", []),
+    ])
+    def test_detector(self, source, lines):
+        assert _eager_scipy_imports(source, "m.py") == [f"m.py:{n}" for n in lines]
+
+    def test_package_imports_scipy_only_inside_functions(self):
+        found = [
+            where
+            for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+            for where in _eager_scipy_imports(path.read_text(encoding="utf-8"), path.name)
+        ]
+        assert found == [], f"scipy imported outside a function body, so every process pays for it: {found}"
