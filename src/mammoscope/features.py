@@ -307,7 +307,7 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | Non
 _QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]+|"")*("?)([^,\r\n]?)')
 
 
-def _quote_problem(text: str, start: int = 0) -> tuple[int, str] | None:
+def _quote_problem(text: str, start: int) -> tuple[int, str] | None:
     """Where the first quoted field from ``start`` on that never closes or runs on
     past its closing quote (RFC 4180) opens, and what is wrong with it, or None;
     csv and np.loadtxt read on past either."""

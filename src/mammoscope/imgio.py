@@ -9,7 +9,6 @@ since real scanner exports contain them.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,7 @@ _MAX_DIGITS = 18
 def _decode_p2(payload: bytes, count: int) -> np.ndarray | None:
     """The first ``count`` whitespace-separated runs of a comment-free
     payload as int64 samples, or None when a run is missing, holds a
-    non-digit, or has more digits than int() or int64 allow."""
+    non-digit, or has more than _MAX_DIGITS digits."""
     codes = np.frombuffer(payload, np.uint8)
     # the six bytes bytes.split() splits at: ' ' and 9..13 (uint8 wraps below 9)
     space = (codes == ord(" ")) | (codes - 9 <= 4)
@@ -81,17 +80,8 @@ def _decode_p2(payload: bytes, count: int) -> np.ndarray | None:
         return None
     lengths = ends - starts
     width = int(lengths.max())
-    # int() refuses more digits than this limit (0: none; Python >= 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and width > limit:
-        return None
     if width > _MAX_DIGITS:
-        # zero padding: only the last _MAX_DIGITS digits of a run may be nonzero
-        nonzero = np.concatenate(([0], np.cumsum(codes != ord("0"))))
-        lead_end = np.maximum(ends - _MAX_DIGITS, starts)
-        if (nonzero[lead_end] != nonzero[starts]).any():
-            return None
-        width = _MAX_DIGITS
+        return None
     samples = np.zeros(count, np.int64)
     for k in range(width, 0, -1):
         # Horner step over the k-th digit from each run's end; a run shorter
@@ -101,24 +91,25 @@ def _decode_p2(payload: bytes, count: int) -> np.ndarray | None:
     return samples
 
 
-def _p2_error(payload: bytes, count: int, maxval: int) -> str:
-    """Name why _decode_p2 refused a payload. In order of precedence: the
-    first token int() cannot read, a value beyond int64, too few tokens,
-    the first token with a sign or '_', and last a sample above maxval."""
+def _p2_samples(payload: bytes, count: int, maxval: int) -> np.ndarray:
+    """The first ``count`` tokens read one by one with int(), for payloads
+    _decode_p2 refuses. Raises MammoscopeError, in order of precedence, for
+    the first token int() cannot read, a value beyond int64, too few
+    tokens, or the first token with a sign or '_'."""
     tokens = payload.split()[:count]
     try:
-        values = np.array(list(map(int, tokens)), dtype=np.int64)
+        samples = np.array(list(map(int, tokens)), dtype=np.int64)
     except ValueError as exc:
-        return f"unreadable sample token: {exc}"
+        raise MammoscopeError(f"unreadable sample token: {exc}") from None
     except OverflowError:
-        return f"sample outside 0..{maxval}"
+        raise MammoscopeError(f"sample outside 0..{maxval}") from None
     if len(tokens) < count:
-        return f"expected {count} samples, got {len(tokens)}"
+        raise MammoscopeError(f"expected {count} samples, got {len(tokens)}")
     # int() also reads a sign and '_' digit separators, the only non-digits it takes
     bad = next((t for t in tokens if not t.isdigit()), None)
     if bad is not None:
-        return f"sample token {bad!r} is not ASCII decimal digits"
-    return f"sample {int(values.max())} exceeds maxval {maxval}"
+        raise MammoscopeError(f"sample token {bad!r} is not ASCII decimal digits")
+    return samples
 
 
 def read_pgm(data: bytes) -> RawImage:
@@ -144,7 +135,7 @@ def read_pgm(data: bytes) -> RawImage:
         payload = re.sub(rb"#[^\n]*", b"", data[pos:])
         samples = _decode_p2(payload, count)
         if samples is None:
-            raise MammoscopeError(_p2_error(payload, count, maxval))
+            samples = _p2_samples(payload, count, maxval)
     else:
         # exactly one whitespace byte separates maxval from the binary payload
         start = pos + 1

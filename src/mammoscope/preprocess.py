@@ -34,8 +34,6 @@ def orient(img: GrayImage) -> GrayImage:
     operation is idempotent.
     """
     half = img.width // 2
-    if half == 0:
-        return img
     left = float(img.pixels[:, :half].sum())
     right = float(img.pixels[:, img.width - half :].sum())
     if right > left:

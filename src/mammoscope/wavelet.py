@@ -97,8 +97,6 @@ def _synthesize(
 ) -> np.ndarray:
     a = np.moveaxis(np.asarray(approx, dtype=np.float64), axis, -1)
     d = np.moveaxis(np.asarray(detail, dtype=np.float64), axis, -1)
-    if a.shape != d.shape:
-        raise MammoscopeError(f"approx {a.shape} vs detail {d.shape}")
     half = a.shape[-1]
     n = 2 * half
     out = np.zeros(a.shape[:-1] + (n,))
@@ -187,11 +185,10 @@ def idwt2d(decomp: WaveletDecomposition) -> np.ndarray:
         if hl.shape != lh.shape or hl.shape != hh.shape:
             raise MammoscopeError(f"detail shapes differ at level {level}")
         target = hl.shape
-        if current.shape != target:
-            if current.shape[0] < target[0] or current.shape[1] < target[1]:
-                raise MammoscopeError(
-                    f"approximation {current.shape} smaller than details {target}"
-                )
-            current = current[: target[0], : target[1]]
+        if current.shape[0] < target[0] or current.shape[1] < target[1]:
+            raise MammoscopeError(
+                f"approximation {current.shape} smaller than details {target}"
+            )
+        current = current[: target[0], : target[1]]
         current = _idwt2d_level(current, hl, lh, hh, decomp.filter)
     return current

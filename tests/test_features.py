@@ -717,7 +717,7 @@ class TestCsvParse:
             "unexpected end of data": "quoted field never closes",
             "',' expected after '\"'": "text after closing quote",
         }
-        offset, reason = _quote_problem(text) or (None, None)
+        offset, reason = _quote_problem(text, 0) or (None, None)
         assert reason == expected[error]
         assert offset is None or text[offset] == '"'
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mammoscope import imgio
 from mammoscope.errors import MammoscopeError
 from mammoscope.imgio import GrayImage, RawImage, _next_token, read_pgm, to_gray, write_pgm
 
@@ -185,6 +186,22 @@ class TestReadPgm:
             read_pgm(b"P2\n0 2\n255\n")
         with pytest.raises(MammoscopeError, match="maxval 70000 outside 1..65535"):
             read_pgm(b"P2\n1 1\n70000\n5")
+
+
+class TestP2Traffic:
+    @pytest.mark.parametrize("maxval", [1, 255, 4095, 65535])
+    def test_written_p2_decodes_in_the_numpy_pass(self, maxval, monkeypatch):
+        """Every P2 file write_pgm writes is read by _decode_p2; only malformed
+        or zero-padded samples fall to the per-token path."""
+        pixels = np.random.default_rng(maxval).random((17, 23))
+        pixels[0, :2] = 0.0, 1.0
+
+        def per_token(payload, count, maxval):
+            raise AssertionError("a written P2 file fell to the per-token path")
+
+        monkeypatch.setattr(imgio, "_p2_samples", per_token)
+        raw = read_pgm(write_pgm(GrayImage(pixels), maxval))
+        assert raw.samples.tolist() == np.floor(pixels * maxval + 0.5).ravel().tolist()
 
 
 class TestToGray:

@@ -34,6 +34,10 @@ class TestOrient:
         img = image([[0.3, 0.7, 0.7, 0.3], [0.1, 0.5, 0.5, 0.1]])
         assert orient(img).pixels.tolist() == img.pixels.tolist()
 
+    def test_one_column_passes_through(self):
+        img = image([[0.2], [0.9]])  # both halves are empty slices
+        assert orient(img) is img
+
     def test_idempotent_and_mirror_invariant(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
