@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import os
 import secrets
@@ -222,6 +223,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: each parse_args call fills a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mammoscope",

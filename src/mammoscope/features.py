@@ -11,17 +11,17 @@ a legitimate pipeline outcome and must not abort a batch run.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import MammoscopeError
-from .fourier import fft2d, half_log_magnitude
+from .fourier import centred, fft2d, half_log_magnitude, mirrored_columns
 from .imgio import GrayImage
 from .wavelet import DETAIL_BANDS, get_filter, dwt2d
 
@@ -167,8 +167,7 @@ def extract_features(img: GrayImage, cfg: FeatureConfig = FeatureConfig()) -> Fe
         raise ValueError(f"unknown feature mode {cfg.mode!r}")
     extended = cfg.mode == "extended"
     decomp = dwt2d(img.pixels, get_filter(cfg.filter), cfg.levels, details=extended)
-    spectrum = fft2d(img.pixels)
-    log_half = half_log_magnitude(spectrum)
+    log_half = half_log_magnitude(fft2d(img.pixels))  # the complex half plane is freed here
 
     names: list[str] = []
     values: list[float] = []
@@ -178,12 +177,12 @@ def extract_features(img: GrayImage, cfg: FeatureConfig = FeatureConfig()) -> Fe
         values.extend(moments(grid, twice))
 
     add_moments("wll", decomp.approx)
-    add_moments("fft", log_half, spectrum.mirrored)
+    add_moments("fft", log_half, mirrored_columns(len(log_half)))
     if extended:
         for level, bands in enumerate(decomp.details, start=1):
             for band in DETAIL_BANDS:
                 add_moments(f"w{band.lower()}{level}", bands[band])
-        spectral_map = spectrum.centred(log_half)
+        spectral_map = centred(log_half)
         final = {"LL": decomp.approx, **decomp.details[-1]}
         for band in ("LL", "HL", "LH", "HH"):
             names.append(f"xcorr_{band.lower()}")
@@ -261,7 +260,23 @@ def _plain_number(kind, token: str):
     return value
 
 
-def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | None, failure) -> str:
+class _Lines(Iterator):
+    """The lines of ``text`` from ``offset`` on, as iterating ``io.StringIO(text)`` gives
+    them: split at ``"\n"`` only, which each keeps. ``offset`` is where the next line
+    starts. Unlike the StringIO, it holds no 4-byte-per-character copy of the text."""
+
+    def __init__(self, text: str, offset: int = 0):
+        self.text, self.offset = text, offset
+
+    def __next__(self) -> str:
+        start = self.offset
+        if start >= len(self.text):
+            raise StopIteration
+        self.offset = self.text.find("\n", start) + 1 or len(self.text)
+        return self.text[start : self.offset]
+
+
+def _first_bad_row(rows: _Lines, names: tuple[str, ...], quote: tuple | None, failure) -> str:
     """Name the first bad row in file order; data rows count from 1, blank lines skipped.
 
     A row is bad if it holds the offset of ``_quote_problem``'s pair, loadtxt rejects
@@ -280,8 +295,8 @@ def _first_bad_row(rows: io.StringIO, names: tuple[str, ...], quote: tuple | Non
                 reason = f"field larger than field limit ({limit})"
                 return f"row <unreadable> (data row {number}): {reason}"
             where = f"row {row[0]!r} (data row {number})"
-            # csv reads a StringIO line by line, so tell() is where this record ends
-            if quote and rows.tell() > quote[0]:
+            # csv reads no line past its record, so offset is where this record ends
+            if quote and rows.offset > quote[0]:
                 return f"{where}: {quote[1]}"
             if len(row) != 2 + len(names):
                 return f"{where}: {len(row)} fields, expected {2 + len(names)}"
@@ -328,9 +343,9 @@ def table_from_csv(text: str, key: str = "id") -> FeatureTable:
     Errors name the first bad row in file order by id and by its 1-based data-row number;
     an id longer than ``csv.field_size_limit()`` makes its row bad, as ``csv`` would.
     """
-    buf = io.StringIO(text)
+    lines = _Lines(text)
     try:
-        header = next(csv.reader(buf, strict=True))
+        header = next(csv.reader(lines, strict=True))
     except StopIteration:
         raise ValueError("no header row") from None
     except csv.Error as exc:
@@ -342,14 +357,14 @@ def table_from_csv(text: str, key: str = "id") -> FeatureTable:
         repeated = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate feature names {repeated} in the header")
     row_dtype = np.dtype([("id", object), ("label", object), ("v", np.float64, (len(names),))])
-    body = buf.tell()
+    body = lines.offset
     quote = _quote_problem(text, body) if '"' in text else None
     failure = None
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(
-                buf, dtype=row_dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                lines, dtype=row_dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
             )
         values = np.ascontiguousarray(rows["v"])
         if not np.isfinite(values).all():
@@ -361,10 +376,9 @@ def table_from_csv(text: str, key: str = "id") -> FeatureTable:
     except ValueError as exc:
         failure = str(exc).partition("; use `usecols`")[0]
     if failure is not None or quote:
-        buf.seek(body)
         # the re-scan finds every problem above in file order, so the message found
         # without it is only a fallback
-        raise ValueError(_first_bad_row(buf, names, quote, failure))
+        raise ValueError(_first_bad_row(_Lines(text, body), names, quote, failure))
     if not table.n_rows:
         raise ValueError("no rows")
     return table

@@ -10,12 +10,11 @@ F(-k, -l) = conj F(k, l) and the columns l = 0 .. N//2 determine the rest.
 ``fft2d`` evaluates it with ``scipy.fft``, rows then columns as ``rfft2``
 does, zero-padding the input at the bottom and right to the smallest
 enclosing power-of-two square; ``dft2d_direct`` evaluates the quartic-time
-sum literally and exists to cross-check the fast path. ``Spectrum.unfold``
-is the one place the other half is filled in: ``Spectrum.values`` unfolds
-F itself, and ``Spectrum.centred`` unfolds any map over the half plane and
-fft-shifts it.
-``half_log_magnitude`` gives log(1 + |F|) over the half plane;
-``log_magnitude`` is its centred full map.
+sum literally and exists to cross-check the fast path. ``centred`` is the
+one place the other half is filled in: it lays any map over the half plane
+out on the full grid, fft-shifted, and ``Spectrum.values`` is F's centred
+map shifted back. ``half_log_magnitude`` gives log(1 + |F|) over the half
+plane; ``log_magnitude`` is its centred full map.
 """
 
 from __future__ import annotations
@@ -23,6 +22,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def mirrored_columns(n: int) -> slice:
+    """Columns 1 .. N - N//2 - 1 of an N-row half plane: each stands for itself and
+    for the full-grid column N - l outside the half plane."""
+    return slice(1, n - n // 2)
+
+
+def centred(half_map: np.ndarray) -> np.ndarray:
+    """A map over the half plane on the full N x N grid, fft-shifted so DC sits at the
+    center, copied block by block into one array. The columns l > N//2 read
+    F(k, l) = conj F(-k mod N, N - l); np.conj copies a real map as is."""
+    n = len(half_map)
+    s = n // 2  # the shift: entry (k, l) lands at ((k + s) mod N, (l + s) mod N)
+    out = np.empty((n, n), dtype=half_map.dtype)
+    lo = 2 * s - n + 1  # 1 for even N, whose Nyquist column N/2 lands in column 0
+    for dst, src in ((out[:, s:], half_map[:, : n - s]), (out[:, :lo], half_map[:, n - s :])):
+        dst[s:], dst[:s] = src[: n - s], src[n - s :]
+    mirror = half_map[:, n - s - 1 : 0 : -1]  # full-grid columns N//2 + 1 .. N - 1, conjugated
+    np.conj(mirror[s::-1], out=out[: s + 1, lo:s])  # rows k = -s .. 0 read half row -k
+    np.conj(mirror[:s:-1], out=out[s + 1 :, lo:s])  # rows k = 1 .. N-s-1 read row N - k
+    return out
 
 
 @dataclass(frozen=True)
@@ -38,25 +59,13 @@ class Spectrum:
 
     @property
     def mirrored(self) -> slice:
-        """Half columns 1 .. N - N//2 - 1: each stands for itself and for the
-        full-grid column N - l outside the half plane."""
-        return slice(1, self.size - self.size // 2)
-
-    def unfold(self, half_map: np.ndarray) -> np.ndarray:
-        """Lay a map over the half plane out on the full N x N grid: the columns
-        l > N//2 read F(k, l) = conj F(-k mod N, N - l); np.conj copies a real map as is."""
-        n = self.size
-        rest = np.conj(half_map[-np.arange(n) % n, self.mirrored][:, ::-1])
-        return np.concatenate([half_map, rest], axis=1)
+        """``mirrored_columns`` of this half plane."""
+        return mirrored_columns(self.size)
 
     @property
     def values(self) -> np.ndarray:
         """The full N x N grid, rebuilt by conjugate symmetry."""
-        return self.unfold(self.half)
-
-    def centred(self, half_map: np.ndarray) -> np.ndarray:
-        """``unfold(half_map)`` quadrant-swapped so DC sits at the center."""
-        return np.fft.fftshift(self.unfold(half_map))
+        return np.fft.ifftshift(centred(self.half))
 
 
 def dft2d_direct(matrix) -> Spectrum:
@@ -105,4 +114,4 @@ def log_magnitude(spectrum: Spectrum) -> np.ndarray:
     energy falls; the other half of the grid is filled from the mirrored
     bins, |F(-k, -l)| = |F(k, l)|.
     """
-    return spectrum.centred(half_log_magnitude(spectrum))
+    return centred(half_log_magnitude(spectrum))

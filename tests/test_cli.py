@@ -1052,6 +1052,52 @@ class TestTrainPredict:
         assert models[0] == models[1]
 
 
+def _outcome(call, output, capsys):
+    """Exit code, stdout, stderr and output bytes of one in-process ``cli.main`` call."""
+    try:
+        code = run(call)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, output.read_bytes() if output else None
+
+
+def _fresh_outcome(call, output):
+    """The same, for the command run in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mammoscope.cli", *call],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr, output.read_bytes() if output else None
+
+
+class TestParserBuiltOnce:
+    def test_each_call_acts_as_in_a_fresh_process(self, tmp_path, capsys):
+        """``main`` builds its parser once per process. A call that argparse rejects and
+        one that sets ``--threshold`` leave nothing behind: every call's exit code,
+        streams and output match the same command run in a fresh interpreter."""
+        feats, model = tmp_path / "f.csv", tmp_path / "m.txt"
+        feats.write_text(_small_csv())
+        predict = ["predict", "--features", str(feats), "--model", str(model)]
+        at_03, at_05 = tmp_path / "p03.csv", tmp_path / "p05.csv"
+        calls = [
+            (["train", "--features", str(feats), "--out", str(model)], model),
+            (predict + ["--threshold", "0.9"], None),  # no --out
+            (predict + ["--threshold", "0.3", "--out", str(at_03)], at_03),
+            (predict + ["--out", str(at_05)], at_05),
+        ]
+        in_process = [_outcome(call, output, capsys) for call, output in calls]
+        assert cli._build_parser() is cli._build_parser()
+        assert [code for code, *_ in in_process] == [0, 2, 0, 0]
+        assert "the following arguments are required: --out" in in_process[1][2]
+        suspicious = [data.decode().count(",suspicious\n") for *_, data in in_process[2:]]
+        assert suspicious == [9, 6]
+        for path in (model, at_03, at_05):
+            path.unlink()
+        assert [_fresh_outcome(call, output) for call, output in calls] == in_process
+
+
 class TestEvaluateCommand:
     def test_full_report_and_roc(self, workdir, capsys, tmp_path):
         _, cfg = workdir

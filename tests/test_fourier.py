@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy
 
-from mammoscope.fourier import Spectrum, dft2d_direct, fft2d, log_magnitude
+from mammoscope.fourier import Spectrum, centred, dft2d_direct, fft2d, log_magnitude
 
 
 def max_relative_error(got, want):
@@ -177,6 +177,21 @@ class TestHalfPlane:
         assert max_relative_error(spec.values, np.fft.fft2(m)) <= 1e-12
         assert max_relative_error(log_magnitude(spec), reference_log_magnitude(m, n)) <= 1e-12
         assert np.array_equal(log_magnitude(spec), np.fft.fftshift(np.log1p(np.abs(spec.values))))
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_centred_is_the_shifted_unfolded_map(self, n, dtype):
+        """Any half map, Hermitian or not, lands bit for bit where gathering the mirrored
+        rows, conjugating, concatenating and fft-shifting would put it."""
+        rng = np.random.default_rng(n)
+        half = rng.standard_normal((n, n // 2 + 1)).astype(dtype)
+        if dtype is np.complex128:
+            half += 1j * rng.standard_normal(half.shape)
+        rest = np.conj(half[-np.arange(n) % n, 1 : n - n // 2][:, ::-1])
+        want = np.fft.fftshift(np.concatenate([half, rest], axis=1))
+        got = centred(half)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
     @pytest.mark.parametrize("shape", RFFT2_CASES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_half_matches_numpy_rfft2(self, shape):

@@ -21,6 +21,10 @@ Only image parsing needs scipy, and importing it more than doubles the
 package's import time, so the package imports it inside the functions
 that use it, never at module or class level: ``import mammoscope`` and
 the table commands stay without it.
+
+``io.StringIO(text)`` stores its own copy of ``text`` at 4 bytes per
+character, so the package never wraps an input's text that way: only an
+empty writer buffer, ``io.StringIO()``, is allowed.
 """
 
 import ast
@@ -264,3 +268,51 @@ class TestLazyScipy:
             for where in _eager_scipy_imports(path.read_text(encoding="utf-8"), path.name)
         ]
         assert found == [], f"scipy imported outside a function body, so every process pays for it: {found}"
+
+
+def _stringio_copies(source: str, filename: str) -> list[str]:
+    """``file:line`` of each call in ``source`` that gives ``io.StringIO`` an argument:
+    ``io.StringIO`` under ``io`` or an alias it imports ``io`` as, or ``StringIO``
+    imported from ``io`` under any name."""
+    tree = ast.parse(source)
+    modules, names = {"io"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "io" and a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "io" and node.level == 0:
+            names.update(a.asname or a.name for a in node.names if a.name == "StringIO")
+
+    def is_stringio(func) -> bool:
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.value.id in modules and func.attr == "StringIO"
+        return isinstance(func, ast.Name) and func.id in names
+
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and is_stringio(node.func) and (node.args or node.keywords)
+    ]
+
+
+class TestNoStringIOCopy:
+    @pytest.mark.parametrize("source, lines", [
+        ("import io\nbuf = io.StringIO(text)\n", [2]),
+        ("import io\nio.StringIO(initial_value=text)\n", [2]),
+        ("import io as i\n\ni.StringIO(text)\n", [3]),
+        ("from io import StringIO\nStringIO(text)\n", [2]),
+        ("from io import StringIO as S\ndef f(t):\n    return S(t)\n", [3]),
+        ("import io\ncsv.reader(io.StringIO(text))\nio.StringIO(t)\n", [2, 3]),
+        ("import io\nbuf = io.StringIO()\nio.BytesIO(data)\n", []),
+        ("StringIO(text)\nself.io.StringIO(text)\n", []),
+        ("from . import io\nfrom .io import StringIO\nStringIO(text)\n", []),
+    ])
+    def test_detector(self, source, lines):
+        assert sorted(_stringio_copies(source, "m.py")) == [f"m.py:{n}" for n in lines]
+
+    def test_package_wraps_no_text_in_stringio(self):
+        found = [
+            where
+            for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+            for where in _stringio_copies(path.read_text(encoding="utf-8"), path.name)
+        ]
+        assert found == [], f"io.StringIO copies its text at 4 bytes per character: {found}"
