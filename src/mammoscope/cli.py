@@ -5,13 +5,13 @@ Subcommands cover the whole flow on batch data:
     mammoscope phantom  --out DIR [--config PATH]
     mammoscope extract  --manifest CSV --out CSV [--config PATH] [--jobs N]
     mammoscope train    --features CSV --out MODEL [--config PATH]
-    mammoscope predict  --features CSV --model MODEL --out CSV [--config PATH] [--threshold T]
+    mammoscope predict  --features CSV --model MODEL --out CSV [--config PATH]
     mammoscope evaluate --features CSV [--config PATH] [--roc-csv PATH] [--roc-svg PATH]
 
 Exit codes: 0 success, 1 partial data failure (some images failed to
-extract, or their worker process died), 2 usage or configuration error.
-Commands validate their inputs before writing any output file.
-``predict`` calls a row suspicious at ``--threshold``, else at the config's
+extract, could not be allocated, or their worker process died), 2 usage
+or configuration error. Commands validate their inputs before writing
+any output file. ``predict`` calls a row suspicious at the config's
 ``classifier.threshold``, which defaults to 0.5.
 """
 
@@ -75,7 +75,7 @@ def _extract_one(path: str, cfg: PipelineConfig) -> FeatureVector | str:
         img = to_gray(read_pgm(Path(path).read_bytes()))
         img = preprocess_pipeline(img, cfg.preprocess)  # rebound, so the raw image is freed
         return extract_features(img, cfg.features)
-    except (MammoscopeError, OSError, ValueError) as exc:
+    except (MammoscopeError, MemoryError, OSError, ValueError) as exc:
         return str(exc)
 
 
@@ -183,10 +183,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = load_config(args.config)
-    threshold = cfg.classifier_threshold if args.threshold is None else args.threshold
-    if not 0.0 < threshold < 1.0:
-        raise MammoscopeError("--threshold must lie in (0, 1)")
+    threshold = load_config(args.config).classifier_threshold
     table = _load_table(args.features)
     try:
         model = bayes.load_model(Path(args.model).read_bytes())
@@ -230,35 +227,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Wavelet/Fourier feature screening pipeline for grayscale images",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options every command takes
+    common.add_argument("--config", default=None)
+    command = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("phantom", help="generate a labeled synthetic image set")
-    p.add_argument("--config", default=None)
+    p = command("phantom", help="generate a labeled synthetic image set")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("extract", help="extract features for a manifest of PGM files")
-    p.add_argument("--config", default=None)
+    p = command("extract", help="extract features for a manifest of PGM files")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output feature CSV")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="fit the classifier from a feature CSV")
-    p.add_argument("--config", default=None)
+    p = command("train", help="fit the classifier from a feature CSV")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="score a feature CSV with a saved model")
-    p.add_argument("--config", default=None)
+    p = command("predict", help="score a feature CSV with a saved model")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=None, help="overrides classifier.threshold")
     p.add_argument("--out", required=True, help="output predictions CSV")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="cross-validate and report screening metrics")
-    p.add_argument("--config", default=None)
+    p = command("evaluate", help="cross-validate and report screening metrics")
     p.add_argument("--features", required=True)
     p.add_argument("--roc-csv", default=None)
     p.add_argument("--roc-svg", default=None)

@@ -54,15 +54,6 @@ class Spectrum:
     half: np.ndarray
 
     @property
-    def size(self) -> int:
-        return self.half.shape[0]
-
-    @property
-    def mirrored(self) -> slice:
-        """``mirrored_columns`` of this half plane."""
-        return mirrored_columns(self.size)
-
-    @property
     def values(self) -> np.ndarray:
         """The full N x N grid, rebuilt by conjugate symmetry."""
         return np.fft.ifftshift(centred(self.half))
@@ -101,7 +92,7 @@ def half_log_magnitude(spectrum: Spectrum) -> np.ndarray:
     """Element-wise log(1 + |F|) over the stored half plane, laid out like ``spectrum.half``.
 
     log1p keeps zero bins finite. The moments of the full map follow from
-    this block with the ``spectrum.mirrored`` columns counted twice.
+    this block with its ``mirrored_columns`` counted twice.
     """
     mag = np.abs(spectrum.half)
     return np.log1p(mag, out=mag)

@@ -24,6 +24,7 @@ from mammoscope import cli
 from mammoscope.config import load_config, parse_config, read_text
 from mammoscope.errors import MammoscopeError
 from mammoscope.features import LABELS, FeatureVector
+from mammoscope.imgio import GrayImage, write_pgm
 
 SMALL_CONFIG = """\
 # desk-scale run
@@ -58,6 +59,18 @@ def _extract_or_die(path, cfg):
     if path.endswith(DEAD_IMAGE):
         os._exit(3)
     return _EXTRACT_ONE(path, cfg)
+
+
+_EXTRACT_FEATURES = cli.extract_features
+OUT_OF_MEMORY = "Unable to allocate 32.0 GiB for an array with shape (65536, 32769)"
+
+
+def _extract_or_run_out(img, cfg):
+    """Stands in for ``cli.extract_features``: an image wider than tall cannot be allocated,
+    as a 16 x 40,000 image's padded 65,536-point spectrum cannot be."""
+    if img.width > img.height:
+        raise MemoryError(OUT_OF_MEMORY)
+    return _EXTRACT_FEATURES(img, cfg)
 
 
 class _InlineExecutor:
@@ -522,6 +535,33 @@ class TestExtractCommand:
         assert feats.read_text().splitlines() == expected
         assert len(expected) == 12  # header + the other 11 rows, in manifest order
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched extractor only when forked",
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_image_too_large_to_allocate_is_a_failure_line(
+        self, workdir, capsys, monkeypatch, jobs
+    ):
+        """A MemoryError in one image is that image's failure line and exit 1, not a traceback."""
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        manifest = out / "manifest.csv"
+        serial = tmp_path / "serial.csv"
+        run(["extract", "--config", cfg, "--manifest", str(manifest), "--out", str(serial)])
+        (out / "wide.pgm").write_bytes(write_pgm(GrayImage(np.ones((16, 40))), binary=True))
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines[:4] + ["wide.pgm,normal\n"] + lines[4:]))
+        monkeypatch.setattr(cli, "extract_features", _extract_or_run_out)
+        feats = tmp_path / "f.csv"
+        capsys.readouterr()
+        status = run(["extract", "--config", cfg, "--manifest", str(manifest),
+                      "--out", str(feats), "--jobs", jobs])
+        assert status == 1
+        assert capsys.readouterr().err == f"extract failed for wide.pgm: {OUT_OF_MEMORY}\n"
+        assert feats.read_bytes() == serial.read_bytes()
+
 
 # Runs in a fresh interpreter: argv[1] is a JSON list of CLI argvs, then the extract argv.
 # Prints, as its last line, the scipy modules loaded after each step, and the ones the
@@ -898,25 +938,13 @@ class TestTrainPredict:
         assert run(["evaluate", "--config", cfg, "--features", str(feats)]) == 0
         assert "cases       : 12" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("threshold", ["7", "1", "0", "-0.5", "nan"])
-    def test_predict_threshold_outside_unit_interval(self, workdir, capsys, threshold):
-        tmp_path, cfg = workdir
-        feats = _pipeline_to_features(workdir)
-        model = tmp_path / "model.txt"
-        run(["train", "--config", cfg, "--features", str(feats), "--out", str(model)])
-        pred = tmp_path / "pred.csv"
-        assert run(["predict", "--features", str(feats), "--model", str(model),
-                    "--threshold", threshold, "--out", str(pred)]) == 2
-        assert not pred.exists()
-        assert "must lie in (0, 1)" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("config, flag, threshold", [
-        ("classifier.threshold = 0.3\n", [], 0.3),
-        ("classifier.threshold = 0.3\n", ["--threshold", "0.7"], 0.7),
-        (None, [], 0.5),
+    @pytest.mark.parametrize("config, threshold", [
+        ("classifier.threshold = 0.3\n", 0.3),
+        ("classifier.threshold = 0.7\n", 0.7),
+        (None, 0.5),
     ])
-    def test_predict_threshold_source(self, tmp_path, config, flag, threshold):
-        """``--threshold`` overrides the config's ``classifier.threshold``; with neither, 0.5."""
+    def test_predict_threshold_source(self, tmp_path, config, threshold):
+        """``predict`` decides at the config's ``classifier.threshold``; without a config, 0.5."""
         feats, model, pred = tmp_path / "f.csv", tmp_path / "m.txt", tmp_path / "p.csv"
         feats.write_text(_small_csv())
         assert run(["train", "--features", str(feats), "--out", str(model)]) == 0
@@ -924,7 +952,7 @@ class TestTrainPredict:
         if config is not None:
             (tmp_path / "predict.cfg").write_text(config)
             argv += ["--config", str(tmp_path / "predict.cfg")]
-        assert run(argv + flag) == 0
+        assert run(argv) == 0
         rows = list(csv.reader(io.StringIO(pred.read_text())))[1:]
         labels = [label for _, _, label in rows]
         assert labels == ["suspicious" if float(s) >= threshold else "normal" for _, s, _ in rows]
@@ -936,9 +964,18 @@ class TestTrainPredict:
         assert run(["train", "--features", str(feats), "--out", str(model)]) == 0
         (tmp_path / "predict.cfg").write_text("classifier.threshold = 1.5\n")
         assert run(["predict", "--features", str(feats), "--model", str(model),
-                    "--config", str(tmp_path / "predict.cfg"), "--threshold", "0.5",
-                    "--out", str(pred)]) == 2
+                    "--config", str(tmp_path / "predict.cfg"), "--out", str(pred)]) == 2
         assert "classifier.threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not pred.exists()
+
+    def test_predict_has_no_threshold_flag(self, tmp_path, capsys):
+        """The threshold has one source, the config: ``--threshold`` is a usage error."""
+        pred = tmp_path / "p.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["predict", "--features", "f.csv", "--model", "m.txt",
+                 "--threshold", "0.3", "--out", str(pred)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threshold 0.3" in capsys.readouterr().err
         assert not pred.exists()
 
     def test_selection_recorded_in_model(self, workdir, tmp_path):
@@ -1075,16 +1112,17 @@ def _fresh_outcome(call, output):
 class TestParserBuiltOnce:
     def test_each_call_acts_as_in_a_fresh_process(self, tmp_path, capsys):
         """``main`` builds its parser once per process. A call that argparse rejects and
-        one that sets ``--threshold`` leave nothing behind: every call's exit code,
+        one that sets ``--config`` leave nothing behind: every call's exit code,
         streams and output match the same command run in a fresh interpreter."""
-        feats, model = tmp_path / "f.csv", tmp_path / "m.txt"
+        feats, model, cfg = tmp_path / "f.csv", tmp_path / "m.txt", tmp_path / "p.cfg"
         feats.write_text(_small_csv())
+        cfg.write_text("classifier.threshold = 0.3\n")
         predict = ["predict", "--features", str(feats), "--model", str(model)]
         at_03, at_05 = tmp_path / "p03.csv", tmp_path / "p05.csv"
         calls = [
             (["train", "--features", str(feats), "--out", str(model)], model),
-            (predict + ["--threshold", "0.9"], None),  # no --out
-            (predict + ["--threshold", "0.3", "--out", str(at_03)], at_03),
+            (predict + ["--config", str(cfg)], None),  # no --out
+            (predict + ["--config", str(cfg), "--out", str(at_03)], at_03),
             (predict + ["--out", str(at_05)], at_05),
         ]
         in_process = [_outcome(call, output, capsys) for call, output in calls]

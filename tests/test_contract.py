@@ -6,7 +6,8 @@ Each example mutates one input file one way: a byte is flipped, the file is
 cut short, or a hostile token is inserted. The command that reads the file
 then either exits 0 (or 1, for ``extract``) with outputs that parse back and
 a rerun that gives the same bytes, or exits 2 with one ``error:`` line and
-every file left as it was.
+every file left as it was. ``extract`` exits 1 without writing when no
+image could be extracted.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from mammoscope import cli, config
 from mammoscope.bayes import load_model
+from mammoscope.errors import MammoscopeError
 from mammoscope.features import LABELS, SUSPICIOUS, table_from_csv
 from mammoscope.imgio import read_pgm, to_gray, write_pgm
 
@@ -56,10 +58,13 @@ TABLE_TOKENS = COMMON + [b'"', b",", b"1e-320", b"normal", b"suspicious",
                          b"\nx,normal\n", b"\nid,label\n"]
 MODEL_TOKENS = COMMON + [b"0", b"-1", b"1e-300", b"\nprior normal 0.5\n",
                          b"\ngauss normal wll_std 1.0 1.0\n", b"nbmodel v2\n", b"gauss"]
+MANIFEST_TOKENS = COMMON + [b'"', b",", b"normal", b"suspicious", b"\npath,label\n",
+                           b"\nb.pgm,suspicious\n", b"\nmissing.pgm,normal\n", b"\n.,normal\n"]
 PGM_TOKENS = COMMON + [b"-1", b"+1", b"0" * 30 + b"7", b"9" * 19, b"9" * 30, b"0" * 4301,
                        b"#", b"\n# c\n", b"P2", b"P5", b"65536", b"99999 99999", b" "]
 
 STALE = b"stale output\n"
+NOTHING_EXTRACTED = "error: no image could be extracted\n"
 
 
 @st.composite
@@ -110,6 +115,7 @@ def check(directory, argv, inputs, outputs, stale):
     assert caught == []
     if status == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if status == 2 or err.endswith(NOTHING_EXTRACTED):
         assert files(directory) == before
         return status, out, err, {}
     after = files(directory)
@@ -196,8 +202,57 @@ def extract(directory, valid, pgm, stale):
     return status
 
 
+def extract_manifest(directory, valid, manifest, stale):
+    status, out, err, written = check(
+        directory, ["extract", "--config", "run.cfg", "--manifest", "manifest.csv",
+                    "--out", "features.csv", "--jobs", "1"],
+        {"run.cfg": VALID_CONFIG, "manifest.csv": manifest,
+         "a.pgm": valid["phantom_0000_normal.pgm"], "b.pgm": valid["phantom_0005_suspicious.pgm"]},
+        ["features.csv"], stale)
+    if status == 2:
+        return status
+    assert out == ""
+    listed = table_from_csv(config.read_text(directory / "manifest.csv", "manifest"), key="path")
+    if status == 0:
+        assert err == ""
+        assert table_from_csv(written["features.csv"].decode("utf-8")).ids == listed.ids
+    else:
+        assert status == 1 and err.startswith("extract failed for ")
+        if written:
+            ids = table_from_csv(written["features.csv"].decode("utf-8")).ids
+            kept = iter(listed.ids)
+            assert len(ids) < len(listed.ids) and all(i in kept for i in ids)  # in manifest order
+    return status
+
+
+def phantom(directory, cfg, stale):
+    """``phantom`` writing into ``directory`` itself, where its config lies."""
+    (directory / "run.cfg").write_bytes(cfg)  # read here only to name the set it should write
+    try:
+        spec = config.load_config(directory / "run.cfg").phantom
+    except MammoscopeError:
+        spec = None  # exit 2, which writes nothing
+    count = spec.count_per_class if spec else 0
+    labels = [LABELS[i >= count] for i in range(2 * count)]
+    names = [f"phantom_{i:04d}_{label}.pgm" for i, label in enumerate(labels)]
+    status, out, err, written = check(
+        directory, ["phantom", "--config", "run.cfg", "--out", str(directory)],
+        {"run.cfg": cfg}, [*names, "manifest.csv"], stale)
+    if status != 2:
+        assert status == 0 and err == ""
+        assert out == f"wrote {len(names)} images and manifest to {directory}\n"
+        manifest = "".join(f"{name},{label}\n" for name, label in zip(names, labels))
+        assert written.pop("manifest.csv").decode("ascii") == "path,label\n" + manifest
+        for data in written.values():
+            image = read_pgm(data)
+            assert (image.width, image.height) == (spec.size, spec.size)
+    return status
+
+
 def test_valid_set_passes_every_command(tmp_path, valid):
     """Unmutated, each command the tests below run exits 0."""
+    assert phantom(tmp_path, VALID_CONFIG, True) == 0
+    assert extract_manifest(tmp_path, valid, MANIFEST, True) == 0
     assert train(tmp_path, VALID_CONFIG, valid["features.csv"], False) == 0
     assert predict(tmp_path, valid["features.csv"], valid["model.nb"], True) == 0
     assert evaluate(tmp_path, valid["features.csv"], True) == 0
@@ -216,6 +271,18 @@ def contract(examples):
 @given(cfg=mutated(VALID_CONFIG, CONFIG_TOKENS), stale=st.booleans())
 def test_train_exits_0_or_2_under_a_mutated_config(tmp_path, valid, cfg, stale):
     train(tmp_path, cfg, valid["features.csv"], stale)
+
+
+@contract(100)
+@given(cfg=mutated(VALID_CONFIG, CONFIG_TOKENS), stale=st.booleans())
+def test_phantom_exits_0_or_2_under_a_mutated_config(tmp_path, cfg, stale):
+    phantom(tmp_path, cfg, stale)
+
+
+@contract(150)
+@given(stale=st.booleans(), data=st.data())
+def test_extract_under_a_mutated_manifest(tmp_path, valid, stale, data):
+    extract_manifest(tmp_path, valid, data.draw(mutated(MANIFEST, MANIFEST_TOKENS)), stale)
 
 
 @contract(150)

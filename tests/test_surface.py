@@ -11,6 +11,14 @@ Every module-level ``_``-prefixed ``def``, ``class`` or constant must be
 used by the package itself, outside its own definition: a private helper
 that only its unit test calls is flagged too.
 
+Every public method or property of a module-level package class must be
+reached by an attribute of its name (``x.name``) in the package outside
+the member's own body, in ``perfbench/*.py`` or in
+``tests/test_acceptance.py``. The match is by name alone, since the type
+of ``x`` is unknown to ``ast``: a member named like an attribute that
+other objects have is always reached. So ``Spectrum.size`` could not be
+flagged, because ``ndarray.size`` is read all over the package.
+
 The package raises one exception type on bad input: its callers turn any
 failure into exit 2 or a per-image failure line, so none tells kinds apart.
 
@@ -29,6 +37,7 @@ empty writer buffer, ``io.StringIO()``, is allowed.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,7 +46,8 @@ from mammoscope.errors import MammoscopeError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "mammoscope"
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (*FUNCTIONS, ast.ClassDef)
 
 
 def _reached(tree: ast.Module, module: str | None, modules: set[str]) -> set[tuple[str, str]]:
@@ -118,6 +128,12 @@ def _package() -> dict[str, str]:
     }
 
 
+def _callers() -> list[str]:
+    """The sources outside the package whose uses count: perfbench and the acceptance suite."""
+    paths = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests/test_acceptance.py"]
+    return [path.read_text(encoding="utf-8") for path in paths]
+
+
 class TestSurface:
     @pytest.mark.parametrize("package, outside, flagged", [
         ({"m": "def f(): pass\n"}, [], ["m.f"]),
@@ -160,13 +176,70 @@ class TestSurface:
         assert unreached(package, [perfbench]) == ["wavelet.dwt1d"]
 
     def test_every_public_name_is_reached(self):
-        package = _package()
-        callers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests/test_acceptance.py"]
-        assert unreached(package, [path.read_text(encoding="utf-8") for path in callers]) == []
+        assert unreached(_package(), _callers()) == []
 
     def test_every_private_name_is_used(self):
         """Only the package counts: a helper that just its unit test imports is dead."""
         assert unreached(_package(), [], private=True) == []
+
+
+def _attributes(tree: ast.AST) -> Counter:
+    """How often each name is read or set as an attribute, ``x.name``, in ``tree``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def unreached_members(package: dict[str, str], outside: list[str]) -> list[str]:
+    """``module.Class.member`` of each public method or property that no attribute reaches.
+
+    ``package`` and ``outside`` are as for ``unreached``. A package attribute
+    reaches a member only from outside the member's own body.
+    """
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    in_package = sum((_attributes(tree) for tree in trees.values()), Counter())
+    read_outside = set().union(*(_attributes(ast.parse(source)) for source in outside))
+    return sorted(
+        f"{name}.{cls.name}.{member.name}"
+        for name, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for member in cls.body if isinstance(member, FUNCTIONS) and not member.name.startswith("_")
+        if member.name not in read_outside
+        and in_package[member.name] == _attributes(member)[member.name]
+    )
+
+
+class TestMembers:
+    @pytest.mark.parametrize("package, outside, flagged", [
+        ({"m": "class C:\n    def f(self): pass\n"}, [], ["m.C.f"]),
+        ({"m": "class C:\n    @property\n    def p(self): return 1\n"}, [], ["m.C.p"]),
+        ({"m": "class C:\n    def f(self): pass\ndef g(c): c.f()\n"}, [], []),
+        ({"m": "class C:\n    def f(self): return self.f()\n"}, [], ["m.C.f"]),
+        ({"m": "class C:\n    def f(self): return self.g\n    def g(self): pass\n"}, [],
+         ["m.C.f"]),
+        ({"m": "class C:\n    def f(self): pass\n", "n": "def g(c): return c.f\n"}, [], []),
+        ({"m": "class C:\n    def f(self): pass\n"}, ["spec.f\n"], []),
+        ({"m": "class C:\n    def f(self): pass\n"}, ["f()\nfrom mammoscope.m import f\n"],
+         ["m.C.f"]),
+        ({"m": "class C:\n    def f(self): pass\ndef f(): pass\nf()\n"}, [], ["m.C.f"]),
+        ({"m": "class C:\n    def _f(self): pass\n    def __len__(self): pass\n"}, [], []),
+        ({"m": "class C:\n    async def f(self): pass\n    x = 1\n"}, [], ["m.C.f"]),
+        ({"m": "def g():\n    class C:\n        def f(self): pass\n"}, [], []),
+    ])
+    def test_detector(self, package, outside, flagged):
+        assert unreached_members(package, outside) == flagged
+
+    def test_every_public_member_is_reached(self):
+        assert unreached_members(_package(), _callers()) == []
+
+    def test_a_member_only_unit_tests_read_is_caught(self):
+        """``Spectrum.mirrored``, which only unit tests read, is flagged if it comes back."""
+        package = _package()
+        package["fourier"] = package["fourier"].replace(
+            "    @property\n    def values(",
+            "    @property\n    def mirrored(self) -> slice:\n"
+            "        return mirrored_columns(len(self.half))\n\n"
+            "    @property\n    def values(",
+        )
+        assert unreached_members(package, _callers()) == ["fourier.Spectrum.mirrored"]
 
 
 CSV_READERS = ("reader", "DictReader")
