@@ -38,7 +38,6 @@ from .features import (
     FeatureTable,
     FeatureVector,
     extract_features,
-    select_features,
     table_from_csv,
     table_to_csv,
 )
@@ -174,11 +173,9 @@ def _load_table(path: str) -> FeatureTable:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     table = _load_table(args.features)
-    if cfg.select_k is not None:
-        table = table.select_columns(select_features(table, cfg.select_k))
-    model = bayes.train(table)
+    model = evaluation.fit(table, cfg)
     _write_output(args.out, bayes.save_model(model))
-    print(f"trained on {table.n_rows} rows, {len(table.names)} features -> {args.out}")
+    print(f"trained on {table.n_rows} rows, {len(model.feature_names)} features -> {args.out}")
     return 0
 
 

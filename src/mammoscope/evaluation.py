@@ -127,32 +127,31 @@ class CvResult:
     curve: RocCurve
 
 
-def run_cross_validation(table: FeatureTable, cfg: PipelineConfig) -> CvResult:
-    """Stratified CV, pooling out-of-fold scores into one ROC.
+def fit(table: FeatureTable, cfg: PipelineConfig) -> bayes.GaussianNbModel:
+    """The one select-then-train step, for ``train`` and every CV fold: the ``select.k``
+    Fisher-ranked columns, when set, then one fit; ``model.feature_names`` records them."""
+    if cfg.select_k is not None:
+        table = table.select_columns(select_features(table, cfg.select_k))
+    return bayes.train(table)
 
-    Feature selection, when configured, runs inside each fold on the
-    training rows only. Pooled scores keep the table's row order.
-    """
-    splits = kfold_indices(table, cfg.cv_folds, cfg.cv_seed)
+
+def out_of_fold(table: FeatureTable, cfg: PipelineConfig) -> np.ndarray:
+    """Each row's score from the model ``fit`` on the other folds' rows, in row order."""
     pooled = np.empty(table.n_rows)
-    for train_rows, test_rows in splits:
-        train_table = table.subset(train_rows)
-        test_values = table.values[test_rows]
-        if cfg.select_k is not None:
-            train_table = train_table.select_columns(select_features(train_table, cfg.select_k))
-            test_values = test_values[:, [table.names.index(n) for n in train_table.names]]
-        pooled[test_rows] = bayes.scores(bayes.train(train_table), test_values)
+    for train_rows, test_rows in kfold_indices(table, cfg.cv_folds, cfg.cv_seed):
+        model = fit(table.subset(train_rows), cfg)
+        columns = [table.names.index(n) for n in model.feature_names]
+        pooled[test_rows] = bayes.scores(model, table.values[np.ix_(test_rows, columns)])
+    return pooled
 
+
+def run_cross_validation(table: FeatureTable, cfg: PipelineConfig) -> CvResult:
+    """``out_of_fold`` scores, tallied at the threshold and pooled into one ROC."""
+    pooled = out_of_fold(table, cfg)
     called = suspicious_mask(bayes.decide(pooled, cfg.classifier_threshold))
     matrix = _tally(called, table.suspicious)
-    return CvResult(
-        tuple(table.labels),
-        tuple(pooled.tolist()),
-        matrix,
-        sensitivity(matrix),
-        specificity(matrix),
-        roc(pooled, table.labels),
-    )
+    return CvResult(table.labels, tuple(pooled.tolist()), matrix, sensitivity(matrix),
+                    specificity(matrix), roc(pooled, table.labels))
 
 
 def predictions_to_csv(ids, scores: np.ndarray, labels: np.ndarray) -> str:

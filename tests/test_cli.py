@@ -20,10 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mammoscope import cli
+from mammoscope import bayes, cli, evaluation
 from mammoscope.config import load_config, parse_config, read_text
 from mammoscope.errors import MammoscopeError
-from mammoscope.features import LABELS, FeatureVector
+from mammoscope.features import LABELS, FeatureVector, table_from_csv
 from mammoscope.imgio import GrayImage, write_pgm
 
 SMALL_CONFIG = """\
@@ -880,6 +880,20 @@ class TestOutputWrites:
 
 
 class TestTrainPredict:
+    @pytest.mark.parametrize("select_k", [None, 3])
+    def test_model_file_is_the_saved_fit(self, workdir, select_k):
+        """``train`` writes what ``evaluation.fit`` returns, selection or not."""
+        tmp_path, cfg = workdir
+        if select_k is not None:
+            with open(cfg, "a") as f:
+                f.write(f"select.k = {select_k}\n")
+        feats = _pipeline_to_features(workdir)
+        model = tmp_path / "model.nb"
+        assert run(["train", "--config", cfg, "--features", str(feats), "--out", str(model)]) == 0
+        fitted = evaluation.fit(table_from_csv(read_text(feats, "features")), load_config(cfg))
+        assert len(fitted.feature_names) == (select_k or 8)
+        assert model.read_bytes() == bayes.save_model(fitted)
+
     def test_train_then_predict(self, workdir):
         tmp_path, cfg = workdir
         feats = _pipeline_to_features(workdir)

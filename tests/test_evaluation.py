@@ -19,7 +19,9 @@ from mammoscope.errors import MammoscopeError
 from mammoscope.evaluation import (
     ConfusionMatrix,
     _tally,
+    fit,
     kfold_indices,
+    out_of_fold,
     predictions_to_csv,
     roc,
     roc_to_csv,
@@ -353,6 +355,25 @@ class TestCrossValidation:
         pred = [S if s >= cfg.classifier_threshold else N for s in expected]
         assert result.matrix == tally_by_hand(pred, table.labels)
         assert result.curve == roc(expected, table.labels)
+
+    @pytest.mark.parametrize("select_k", [None, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_out_of_fold_is_the_pooled_scores(self, seed, select_k):
+        table = self.table(seed)
+        cfg = replace(PipelineConfig(), cv_folds=4, cv_seed=seed, select_k=select_k)
+        scores = out_of_fold(table, cfg)
+        assert scores.shape == (table.n_rows,)
+        assert np.array_equal(scores, run_cross_validation(table, cfg).scores)
+        assert np.array_equal(scores, self.per_row_scores(table, cfg))
+
+    @pytest.mark.parametrize("select_k", [None, 3, 7])
+    def test_fit_selects_then_trains(self, select_k):
+        table = self.table(0)
+        model = fit(table, replace(PipelineConfig(), select_k=select_k))
+        names = table.names if select_k is None else select_features(table, select_k)
+        expected = bayes.train(table.select_columns(names))
+        assert model.feature_names == tuple(names)
+        assert bayes.save_model(model) == bayes.save_model(expected)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matrix_at_a_threshold_equal_to_a_score(self, seed):

@@ -25,6 +25,10 @@ failure into exit 2 or a per-image failure line, so none tells kinds apart.
 Manifests and feature CSVs are one dialect with one reader: only
 ``features.py`` may call a ``csv`` reader.
 
+``train`` and every CV fold fit one way: only ``evaluation.fit`` may use
+``bayes.train`` or ``features.select_features``, under any name they are
+imported as.
+
 Only image parsing needs scipy, and importing it more than doubles the
 package's import time, so the package imports it inside the functions
 that use it, never at module or class level: ``import mammoscope`` and
@@ -288,6 +292,94 @@ class TestOneReader:
         package = _package()
         package["cli"] += "\n\ndef _read_manifest(text):\n    return list(csv.reader(text))\n"
         assert _csv_reading_modules(package) == ["cli", "features"]
+
+
+FIT_STEPS = (f"{PACKAGE}.bayes.train", f"{PACKAGE}.features.select_features")
+
+
+def _fit_step_uses(package: dict[str, str]) -> list[str]:
+    """``module.where: step`` for each use of a fit step outside ``evaluation.fit``.
+
+    ``where`` is the module-level def or class around the use, or
+    ``<module>``. A step is found by the dotted name it resolves to
+    through the module's imports and its own module-level defs, so
+    an alias or a reference that is not called is found too.
+    """
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        bound = {stmt.name: f"{PACKAGE}.{module}.{stmt.name}" for stmt in tree.body
+                 if isinstance(stmt, DEFS)}  # local name -> dotted name it stands for
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname, a.name) if a.asname else (a.name.split(".")[0],) * 2
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level in (0, 1):
+                origin = ".".join(filter(None, [PACKAGE if node.level else "", node.module]))
+                bound.update((a.asname or a.name, f"{origin}.{a.name}") for a in node.names)
+
+        def resolve(node) -> str | None:
+            if isinstance(node, ast.Name):
+                return bound.get(node.id)
+            if isinstance(node, ast.Attribute):
+                head = resolve(node.value)
+                return head and f"{head}.{node.attr}"
+            return None
+
+        for stmt in tree.body:
+            where = stmt.name if isinstance(stmt, DEFS) else "<module>"
+            if module == "evaluation" and where == "fit" and isinstance(stmt, FUNCTIONS):
+                continue
+            for node in ast.walk(stmt):
+                step = resolve(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+                if step in FIT_STEPS:
+                    found.append(f"{module}.{where}: {step.split('.', 1)[1]}")
+    return sorted(found)
+
+
+class TestOneFitPath:
+    @pytest.mark.parametrize("package, flagged", [
+        ({"evaluation": "from . import bayes\ndef fit(t): return bayes.train(t)\n"}, []),
+        ({"cli": "from . import bayes\ndef cmd(t): return bayes.train(t)\n"},
+         ["cli.cmd: bayes.train"]),
+        ({"cli": "from . import bayes as b\ndef cmd(t): b.train(t)\n"}, ["cli.cmd: bayes.train"]),
+        ({"cli": "from .bayes import train as nb\ndef cmd(t): nb(t)\n"}, ["cli.cmd: bayes.train"]),
+        ({"cli": "import mammoscope.bayes as mb\ndef cmd(t): mb.train(t)\n"},
+         ["cli.cmd: bayes.train"]),
+        ({"cli": "import mammoscope.bayes\ndef cmd(t): mammoscope.bayes.train(t)\n"},
+         ["cli.cmd: bayes.train"]),
+        ({"cli": "from mammoscope import features\ndef cmd(t): features.select_features(t, 2)\n"},
+         ["cli.cmd: features.select_features"]),
+        ({"cli": "from .features import select_features as top\ntop(t, 1)\n"},
+         ["cli.<module>: features.select_features"]),
+        ({"bayes": "def train(t): pass\ndef refit(t): return train(t)\n"},
+         ["bayes.refit: bayes.train"]),
+        ({"cli": "from . import bayes\nTRAIN = bayes.train\n"}, ["cli.<module>: bayes.train"]),
+        ({"cli": "from . import bayes\ndef fit(t): return bayes.train(t)\n"},
+         ["cli.fit: bayes.train"]),
+        ({"evaluation": "from . import bayes\nclass C:\n    def fit(self, t): bayes.train(t)\n"},
+         ["evaluation.C: bayes.train"]),
+        ({"cli": "from . import bayes\nfrom .features import FeatureTable\n"
+                 "def cmd(m, t, train): return bayes.scores(m, t), m.train, train(t)\n"}, []),
+        ({"cli": "import mammoscope.features\ndef cmd(t): bayes.train(t)\n"}, []),
+    ])
+    def test_detector(self, package, flagged):
+        assert _fit_step_uses(package) == flagged
+
+    def test_only_fit_selects_and_trains(self):
+        assert _fit_step_uses(_package()) == []
+
+    def test_a_second_fit_in_cmd_train_is_caught(self):
+        """``cmd_train`` as it was before it called ``fit`` is flagged."""
+        package = _package()
+        package["cli"] = package["cli"].replace(
+            "    model = evaluation.fit(table, cfg)\n",
+            "    if cfg.select_k is not None:\n"
+            "        table = table.select_columns(select_features(table, cfg.select_k))\n"
+            "    model = bayes.train(table)\n",
+        ).replace("from .features import (\n", "from .features import (\n    select_features,\n")
+        assert _fit_step_uses(package) == ["cli.cmd_train: bayes.train",
+                                           "cli.cmd_train: features.select_features"]
 
 
 class TestOneErrorType:
