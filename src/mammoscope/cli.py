@@ -45,26 +45,32 @@ from .imgio import read_pgm, to_gray, write_pgm
 from .preprocess import preprocess_pipeline
 
 
-def _write_output(path: str | Path, data: bytes) -> None:
-    """Write an output file whole or not at all.
+def _write_output(outputs: dict[str | Path, bytes]) -> None:
+    """Write each output file whole, and none unless all of them can be written.
 
-    The bytes go to a fresh temporary file beside the target, which
-    ``os.replace`` then renames over it, so a run killed mid-write leaves
-    the previous file, not a truncated one. A target that exists and is
-    not a regular file (a pipe, ``/dev/stdout``) is written in place.
+    Each file's bytes go to a fresh temporary file beside its target; only
+    once every one is written does ``os.replace`` rename each over its
+    target. So a run killed mid-write leaves no truncated file, and a path
+    that cannot be written leaves every target as it was. A target that
+    exists and is not a regular file (a pipe, ``/dev/stdout``) is written
+    in place, at once.
     """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
+    staged = []  # (temporary file, target path), renamed once all are written
     try:
-        if target.exists() and not target.is_file():
-            target.write_bytes(data)
-        else:
-            with open(tmp, "xb") as f:
+        for path, data in outputs.items():
+            target = Path(path)
+            if target.exists() and not target.is_file():
+                target.write_bytes(data)
+                continue
+            staged.append((target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp"), path))
+            with open(staged[-1][0], "xb") as f:
                 f.write(data)
-            os.replace(tmp, target)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):  # one already renamed is gone
+                tmp.unlink()
         raise MammoscopeError(f"cannot write {path}: {exc}") from None
 
 
@@ -108,14 +114,14 @@ def cmd_phantom(args) -> int:
         raise MammoscopeError(f"cannot write phantom set: {exc}") from None
     manifest = "path,label\n"
     for index, (name, label, img) in enumerate(itertools.chain([first], images)):
-        _write_output(out_dir / name, write_pgm(img, maxval=255, binary=True))  # as it renders
+        _write_output({out_dir / name: write_pgm(img, maxval=255, binary=True)})  # as it renders
         if index == 0:  # from here on, an old manifest would list a mix of two sets
             try:
                 (out_dir / "manifest.csv").unlink(missing_ok=True)
             except OSError as exc:
                 raise MammoscopeError(f"cannot write phantom set: {exc}") from None
         manifest += f"{name},{label}\n"
-    _write_output(out_dir / "manifest.csv", manifest.encode("ascii"))  # last: lists only whole files
+    _write_output({out_dir / "manifest.csv": manifest.encode("ascii")})  # last: lists whole files
     print(f"wrote {2 * cfg.phantom.count_per_class} images and manifest to {out_dir}")
     return 0
 
@@ -158,7 +164,7 @@ def cmd_extract(args) -> int:
     table = replace(
         manifest.subset(kept), names=vectors[0].names, values=np.array([v.values for v in vectors])
     )
-    _write_output(args.out, table_to_csv(table).encode("utf-8"))
+    _write_output({args.out: table_to_csv(table).encode("utf-8")})
     return 1 if len(kept) < manifest.n_rows else 0
 
 
@@ -174,7 +180,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     table = _load_table(args.features)
     model = evaluation.fit(table, cfg)
-    _write_output(args.out, bayes.save_model(model))
+    _write_output({args.out: bayes.save_model(model)})
     print(f"trained on {table.n_rows} rows, {len(model.feature_names)} features -> {args.out}")
     return 0
 
@@ -193,7 +199,7 @@ def cmd_predict(args) -> int:
 
     scores = bayes.scores(model, table.values)
     text = evaluation.predictions_to_csv(table.ids, scores, bayes.decide(scores, threshold))
-    _write_output(args.out, text.encode("utf-8"))
+    _write_output({args.out: text.encode("utf-8")})
     return 0
 
 
@@ -202,10 +208,8 @@ def cmd_evaluate(args) -> int:
     table = _load_table(args.features)
     result = run_cross_validation(table, cfg)
 
-    if args.roc_csv:
-        _write_output(args.roc_csv, evaluation.roc_to_csv(result.curve).encode("ascii"))
-    if args.roc_svg:
-        _write_output(args.roc_svg, evaluation.roc_to_svg(result.curve).encode("ascii"))
+    _write_output({path: render(result.curve).encode("ascii") for path, render in (
+        (args.roc_csv, evaluation.roc_to_csv), (args.roc_svg, evaluation.roc_to_svg)) if path})
     m = result.matrix
     print(f"cases       : {m.total}")
     print(f"folds       : {cfg.cv_folds} (seed {cfg.cv_seed})")

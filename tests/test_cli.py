@@ -805,6 +805,26 @@ class TestOutputWrites:
         assert f"cannot write {outputs[0]}" in captured.err
         assert captured.out == ""  # evaluate prints no report it could not finish
 
+    @pytest.mark.parametrize("stale", [False, True])
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_evaluate_writes_both_roc_files_or_neither(self, workdir, capsys, missing, stale):
+        """With one ROC path in a missing directory, the other keeps its old bytes or stays
+        absent, and no temporary file is left behind."""
+        tmp_path, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        paths = [tmp_path / "roc.csv", tmp_path / "roc.svg"]
+        paths[missing] = tmp_path / "nodir" / paths[missing].name
+        other = paths[1 - missing]
+        if stale:
+            other.write_text("previous\n")
+        before = sorted(os.listdir(tmp_path))
+        assert run(["evaluate", "--config", cfg, "--features", str(feats),
+                    "--roc-csv", str(paths[0]), "--roc-svg", str(paths[1])]) == 2
+        assert f"cannot write {paths[missing]}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert other.exists() == stale and (not stale or other.read_text() == "previous\n")
+
     def test_extract_missing_output_directory_is_exit_2(self, workdir, capsys):
         tmp_path, cfg = workdir
         out = tmp_path / "images"

@@ -152,11 +152,11 @@ def train(directory, cfg, features, stale):
     return status
 
 
-def predict(directory, features, model, stale):
+def predict(directory, cfg, features, model, stale):
     status, out, err, written = check(
         directory, ["predict", "--config", "run.cfg", "--features", "features.csv",
                     "--model", "model.nb", "--out", "predictions.csv"],
-        {"run.cfg": VALID_CONFIG, "features.csv": features, "model.nb": model},
+        {"run.cfg": cfg, "features.csv": features, "model.nb": model},
         ["predictions.csv"], stale)
     if status != 2:
         assert status == 0 and err == "" and out == ""
@@ -164,17 +164,18 @@ def predict(directory, features, model, stale):
         assert rows[0] == ["id", "score", "label"]
         table = table_from_csv(config.read_text(directory / "features.csv", "features"))
         assert [row[0] for row in rows[1:]] == list(table.ids)
+        threshold = config.load_config(directory / "run.cfg").classifier_threshold
         for _, score, label in rows[1:]:
             assert 0.0 < float(score) < 1.0 and label in LABELS
-            assert (label == SUSPICIOUS) == (float(score) >= 0.5)
+            assert (label == SUSPICIOUS) == (float(score) >= threshold)
     return status
 
 
-def evaluate(directory, features, stale):
+def evaluate(directory, cfg, features, stale):
     status, out, err, written = check(
         directory, ["evaluate", "--config", "run.cfg", "--features", "features.csv",
                     "--roc-csv", "roc.csv", "--roc-svg", "roc.svg"],
-        {"run.cfg": VALID_CONFIG, "features.csv": features}, ["roc.csv", "roc.svg"], stale)
+        {"run.cfg": cfg, "features.csv": features}, ["roc.csv", "roc.svg"], stale)
     if status != 2:
         assert status == 0 and err == "" and out.count("\n") == 7
         lines = written["roc.csv"].decode("ascii").splitlines()
@@ -254,8 +255,8 @@ def test_valid_set_passes_every_command(tmp_path, valid):
     assert phantom(tmp_path, VALID_CONFIG, True) == 0
     assert extract_manifest(tmp_path, valid, MANIFEST, True) == 0
     assert train(tmp_path, VALID_CONFIG, valid["features.csv"], False) == 0
-    assert predict(tmp_path, valid["features.csv"], valid["model.nb"], True) == 0
-    assert evaluate(tmp_path, valid["features.csv"], True) == 0
+    assert predict(tmp_path, VALID_CONFIG, valid["features.csv"], valid["model.nb"], True) == 0
+    assert evaluate(tmp_path, VALID_CONFIG, valid["features.csv"], True) == 0
     pgm = valid["phantom_0000_normal.pgm"]
     assert extract(tmp_path, valid, pgm, False) == 0
     assert extract(tmp_path, valid, write_pgm(to_gray(read_pgm(pgm))), False) == 0
@@ -271,6 +272,18 @@ def contract(examples):
 @given(cfg=mutated(VALID_CONFIG, CONFIG_TOKENS), stale=st.booleans())
 def test_train_exits_0_or_2_under_a_mutated_config(tmp_path, valid, cfg, stale):
     train(tmp_path, cfg, valid["features.csv"], stale)
+
+
+@contract(150)
+@given(cfg=mutated(VALID_CONFIG, CONFIG_TOKENS), stale=st.booleans())
+def test_evaluate_under_a_mutated_config(tmp_path, valid, cfg, stale):
+    evaluate(tmp_path, cfg, valid["features.csv"], stale)
+
+
+@contract(100)
+@given(cfg=mutated(VALID_CONFIG, CONFIG_TOKENS), stale=st.booleans())
+def test_predict_under_a_mutated_config(tmp_path, valid, cfg, stale):
+    predict(tmp_path, cfg, valid["features.csv"], valid["model.nb"], stale)
 
 
 @contract(100)
@@ -293,16 +306,16 @@ def test_table_commands_under_a_mutated_feature_csv(tmp_path, valid, command, st
     if command is train:
         train(tmp_path, VALID_CONFIG, features, stale)
     elif command is predict:
-        predict(tmp_path, features, valid["model.nb"], stale)
+        predict(tmp_path, VALID_CONFIG, features, valid["model.nb"], stale)
     else:
-        evaluate(tmp_path, features, stale)
+        evaluate(tmp_path, VALID_CONFIG, features, stale)
 
 
 @contract(100)
 @given(stale=st.booleans(), data=st.data())
 def test_predict_under_a_mutated_model(tmp_path, valid, stale, data):
     model = data.draw(mutated(valid["model.nb"], MODEL_TOKENS))
-    predict(tmp_path, valid["features.csv"], model, stale)
+    predict(tmp_path, VALID_CONFIG, valid["features.csv"], model, stale)
 
 
 @contract(100)
