@@ -208,8 +208,8 @@ def cmd_evaluate(args) -> int:
     table = _load_table(args.features)
     result = run_cross_validation(table, cfg)
 
-    _write_output({path: render(result.curve).encode("ascii") for path, render in (
-        (args.roc_csv, evaluation.roc_to_csv), (args.roc_svg, evaluation.roc_to_svg)) if path})
+    rocs = {args.roc_csv: evaluation.roc_to_csv, args.roc_svg: evaluation.roc_to_svg}
+    _write_output({p: render(result.curve).encode("ascii") for p, render in rocs.items() if p})
     m = result.matrix
     print(f"cases       : {m.total}")
     print(f"folds       : {cfg.cv_folds} (seed {cfg.cv_seed})")

@@ -350,21 +350,12 @@ class TestCrossValidation:
         result = run_cross_validation(table, cfg)
         expected = self.per_row_scores(table, cfg)
         assert np.array_equal(result.scores, expected)
+        assert np.array_equal(out_of_fold(table, cfg), expected)
         assert all(type(s) is float for s in result.scores)
         assert result.truth == table.labels
         pred = [S if s >= cfg.classifier_threshold else N for s in expected]
         assert result.matrix == tally_by_hand(pred, table.labels)
         assert result.curve == roc(expected, table.labels)
-
-    @pytest.mark.parametrize("select_k", [None, 3])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_out_of_fold_is_the_pooled_scores(self, seed, select_k):
-        table = self.table(seed)
-        cfg = replace(PipelineConfig(), cv_folds=4, cv_seed=seed, select_k=select_k)
-        scores = out_of_fold(table, cfg)
-        assert scores.shape == (table.n_rows,)
-        assert np.array_equal(scores, run_cross_validation(table, cfg).scores)
-        assert np.array_equal(scores, self.per_row_scores(table, cfg))
 
     @pytest.mark.parametrize("select_k", [None, 3, 7])
     def test_fit_selects_then_trains(self, select_k):
