@@ -179,16 +179,10 @@ def write_pgm(img: GrayImage, maxval: int = 255, binary: bool = False) -> bytes:
     if binary:
         dtype = ">u2" if maxval > 255 else np.uint8
         return header.encode("ascii") + quantized.astype(dtype).tobytes()
-    # one cell per decimal digit and one for the separator; dropping the
-    # zero cells of leading zeros leaves "v v ... v\n" per row
-    digits = len(str(maxval))
-    grid = np.zeros((*quantized.shape, digits + 1), np.uint8)
-    grid[..., -1] = ord(" ")
-    grid[:, -1, -1] = ord("\n")
-    for place in range(digits):  # least significant digit first, consuming quantized
-        cell = grid[..., digits - 1 - place]
-        np.remainder(quantized, 10, out=cell, casting="unsafe")
-        np.add(cell, ord("0"), out=cell, where=(quantized > 0) | (place == 0))
-        quantized //= 10
-    cells = grid.ravel()
-    return header.encode("ascii") + np.compress(cells != 0, cells).tobytes()
+    # the range check above keeps every sample an index into the table; numpy pads each
+    # spelling with NULs to one width, and dropping them leaves "v v ... v\n" per row
+    table = np.array([b"%d " % v for v in range(int(quantized.max()) + 1)])
+    cells = table[quantized]
+    cells[:, -1] = [cell[:-1] + b"\n" for cell in cells[:, -1].tolist()]
+    raw = cells.view(np.uint8)
+    return header.encode("ascii") + raw[raw != 0].tobytes()

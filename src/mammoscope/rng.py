@@ -39,19 +39,15 @@ class Rng:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state * MULTIPLIER + INCREMENT) & _MASK
-        return self.state
-
     def uniform(self) -> float:
         """One double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return (int(self._raw_block(1)[0]) >> 11) * 2.0**-53
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n). Uses plain modulo; fine at these ranges."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
-        return self.next_u64() % n
+        return int(self._raw_block(1)[0]) % n
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: swap i with randrange(i + 1) for i = n-1 .. 1.

@@ -23,14 +23,27 @@ def test_block_path_equals_serial_recurrence():
     block = rng._raw_block(10000)
     assert [int(v) for v in block] == serial_states(42, 10000)
     # stream continues from where the block left off
-    assert rng.next_u64() == serial_states(42, 10001)[-1]
+    assert int(rng._raw_block(1)[0]) == serial_states(42, 10001)[-1]
 
 
 def test_same_seed_same_sequence():
     a = Rng(123)
     b = Rng(123)
-    assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+    assert np.array_equal(a._raw_block(100), b._raw_block(100))
     assert np.array_equal(Rng(5).normals(999), Rng(5).normals(999))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**63, 2**64 - 1])
+def test_uniform_and_randrange_take_one_serial_step_each(seed):
+    """Drawn in turn, each call consumes the next state of the recurrence."""
+    rng = Rng(seed)
+    states = serial_states(seed, 300)
+    for k, state in enumerate(states, start=1):
+        if k % 2:
+            assert rng.uniform() == (state >> 11) * 2.0**-53
+        else:
+            assert rng.randrange(k) == state % k
+    assert rng.state == states[-1]
 
 
 def test_uniform_range_and_spread():
