@@ -10,8 +10,9 @@ Subcommands cover the whole flow on batch data:
 
 Exit codes: 0 success, 1 partial data failure (some images failed to
 extract, could not be allocated, or their worker process died), 2 usage
-or configuration error. Commands validate their inputs before writing
-any output file. ``predict`` calls a row suspicious at the config's
+or configuration error, 130 or 143 when SIGINT or SIGTERM stopped the
+run. Commands validate their inputs before writing any output file.
+``predict`` calls a row suspicious at the config's
 ``classifier.threshold``, which defaults to 0.5.
 """
 
@@ -21,9 +22,13 @@ import argparse
 import contextlib
 import functools
 import itertools
+import multiprocessing
 import os
 import secrets
+import signal
 import sys
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -45,6 +50,54 @@ from .imgio import read_pgm, to_gray, write_pgm
 from .preprocess import preprocess_pipeline
 
 
+class _Interrupted(BaseException):
+    """SIGINT or SIGTERM, by number, in the main thread; a BaseException, so no data-error
+    handler takes it."""
+
+
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def _interrupt(signum, frame) -> None:
+    for sig in _STOP_SIGNALS:  # a second Ctrl-C must not break off the cleanup
+        signal.signal(sig, signal.SIG_IGN)
+    raise _Interrupted(signum)
+
+
+def _start_worker(parent: int) -> None:
+    """Pool initializer: Ctrl-C reaches the whole process group, but only the parent acts on
+    it; SIGTERM kills, not the parent's handler copied at fork; and the worker exits once
+    its parent is gone, which no signal reports."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)  # blocked by _pooled for the fork
+    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+
+
+def _exit_with(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.25)
+    os._exit(1)
+
+
+def _pooled(workers: int, paths: list[str], cfg: PipelineConfig) -> list:
+    """``_extract_one`` for each path in a fresh pool of ``workers``, all waited for.
+
+    An interrupt does not wait: ``main`` stops the workers. So the pool is shut down by
+    hand, not by a ``with`` block, whose exit waits for every task.
+    """
+    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(os.getpid(),))
+    # the workers fork at the first submit and inherit this mask, so no stop signal
+    # reaches one before its initializer has set what the signal does there
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        futures = [pool.submit(_extract_one, path, cfg) for path in paths]
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    pool.shutdown()
+    return futures
+
+
 def _write_output(outputs: dict[str | Path, bytes]) -> None:
     """Write each output file whole, and none unless all of them can be written.
 
@@ -53,7 +106,7 @@ def _write_output(outputs: dict[str | Path, bytes]) -> None:
     target. So a run killed mid-write leaves no truncated file, and a path
     that cannot be written leaves every target as it was. A target that
     exists and is not a regular file (a pipe, ``/dev/stdout``) is written
-    in place, at once.
+    in place, at once. An interrupt, too, leaves no temporary file behind.
     """
     staged = []  # (temporary file, target path), renamed once all are written
     try:
@@ -67,11 +120,13 @@ def _write_output(outputs: dict[str | Path, bytes]) -> None:
                 f.write(data)
         for tmp, path in staged:
             os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         for tmp, _ in staged:
             with contextlib.suppress(OSError):  # one already renamed is gone
                 tmp.unlink()
-        raise MammoscopeError(f"cannot write {path}: {exc}") from None
+        if isinstance(exc, OSError):
+            raise MammoscopeError(f"cannot write {path}: {exc}") from None
+        raise
 
 
 def _extract_one(path: str, cfg: PipelineConfig) -> FeatureVector | str:
@@ -90,8 +145,7 @@ def _died(future) -> bool:
 
 def _extract_alone(path: str, cfg: PipelineConfig) -> FeatureVector | str:
     """``_extract_one`` in a fresh one-worker pool: only an image that kills its worker dies."""
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(_extract_one, path, cfg)
+    (future,) = _pooled(1, [path], cfg)
     return "worker process died" if _died(future) else future.result()
 
 
@@ -144,8 +198,7 @@ def cmd_extract(args) -> int:
         raise MammoscopeError(f"bad manifest {manifest_path}: header must be path,label")
     paths = [str(manifest_path.parent / rel) for rel in manifest.ids]  # an absolute rel overrides
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
-            futures = [pool.submit(_extract_one, path, cfg) for path in paths]
+        futures = _pooled(min(args.jobs, len(paths)), paths, cfg)
         # a dead worker breaks every future not yet done, so each of those reruns alone;
         # other errors raise as in serial
         outcomes = [
@@ -204,11 +257,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    roc_csv, roc_svg = args.roc_csv, args.roc_svg
+    if roc_csv and roc_svg and os.path.realpath(roc_csv) == os.path.realpath(roc_svg):
+        raise MammoscopeError(f"--roc-csv and --roc-svg name one file: {roc_csv}")
     cfg = load_config(args.config)
     table = _load_table(args.features)
     result = run_cross_validation(table, cfg)
 
-    rocs = {args.roc_csv: evaluation.roc_to_csv, args.roc_svg: evaluation.roc_to_svg}
+    rocs = {roc_csv: evaluation.roc_to_csv, roc_svg: evaluation.roc_to_svg}
     _write_output({p: render(result.curve).encode("ascii") for p, render in rocs.items() if p})
     m = result.matrix
     print(f"cases       : {m.total}")
@@ -263,12 +319,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    previous = {sig: signal.signal(sig, _interrupt) for sig in _STOP_SIGNALS}
     try:
         with np.errstate(all="ignore"):  # every value written is checked finite or floored
             return args.func(args)
     except MammoscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _Interrupted as exc:
+        for worker in multiprocessing.active_children():  # busy or idle, stopped and reaped
+            worker.terminate()
+            worker.join()
+        print("error: interrupted", file=sys.stderr)
+        return 128 + exc.args[0]
+    finally:  # callers in this process, such as tests, keep their own handlers
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Tests for the command-line pipeline and config parsing."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
 import multiprocessing
 import os
+import select
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -74,23 +77,21 @@ def _extract_or_run_out(img, cfg):
 
 
 class _InlineExecutor:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and runs each task at once."""
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and runs each task at
+    once, in this process, so without the worker initializer."""
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, fn, *args):
         future = Future()
         future.set_result(fn(*args))
         return future
+
+    def shutdown(self):
+        pass
 
 
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
@@ -584,16 +585,14 @@ for argv in commands:
     seen[argv[0]] = loaded()
 
 class Executor:
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         seen["pool"] = [name for name in ("scipy.fft", "scipy.ndimage") if name in sys.modules]
-    def __enter__(self):
-        return self
-    def __exit__(self, *exc):
-        return False
     def submit(self, fn, *args):
         future = Future()
         future.set_result(fn(*args))
         return future
+    def shutdown(self):
+        pass
 
 cli.ProcessPoolExecutor = Executor
 assert cli.main(extract) == 0
@@ -825,6 +824,23 @@ class TestOutputWrites:
         assert sorted(os.listdir(tmp_path)) == before
         assert other.exists() == stale and (not stale or other.read_text() == "previous\n")
 
+    @pytest.mark.parametrize("svg_path", ["roc.out", "./roc.out"])
+    def test_two_roc_flags_naming_one_file_is_exit_2(self, workdir, capsys, monkeypatch, svg_path):
+        """Both ROC tables cannot go to one file: exit 2 before anything is written, also when
+        the two spellings differ."""
+        tmp_path, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        (tmp_path / "roc.out").write_text("previous\n")
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert run(["evaluate", "--config", cfg, "--features", str(feats),
+                    "--roc-csv", "roc.out", "--roc-svg", svg_path]) == 2
+        err = "error: --roc-csv and --roc-svg name one file: roc.out\n"
+        assert capsys.readouterr() == ("", err)
+        assert sorted(os.listdir(tmp_path)) == before
+        assert (tmp_path / "roc.out").read_text() == "previous\n"
+
     def test_extract_missing_output_directory_is_exit_2(self, workdir, capsys):
         tmp_path, cfg = workdir
         out = tmp_path / "images"
@@ -897,6 +913,78 @@ class TestOutputWrites:
         assert not thread.is_alive()
         assert received[0].startswith(b"nbmodel v1\n")
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def _held_extract(tmp_path, cfg, jobs):
+    """``extract`` started in its own session on a manifest whose first image is a FIFO,
+    and the FIFO's write end, opened once the run (or one of its workers) opens it to
+    read: from then on the run is mid-way, and stays so until the FIFO closes."""
+    images = tmp_path / "images"
+    assert run(["phantom", "--config", cfg, "--out", str(images)]) == 0
+    os.mkfifo(images / "held.pgm")
+    manifest = images / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace("label\n", "label\nheld.pgm,normal\n", 1))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mammoscope.cli", "extract", "--config", cfg, "--manifest",
+         str(manifest), "--out", str(tmp_path / "f.csv"), "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    held = []
+    opener = threading.Thread(
+        target=lambda: held.append(os.open(images / "held.pgm", os.O_WRONLY)), daemon=True)
+    opener.start()
+    opener.join(timeout=60)
+    if not held:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the run never opened its FIFO")
+    return proc, held[0]
+
+
+def _stop(proc, fifo):
+    """Kill whatever is left of the run's group, then close the FIFO and the run's pipes."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)  # only a run that fails its test leaves one
+    os.close(fifo)
+    proc.communicate()
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("sig, to_group", [
+        (signal.SIGINT, True), (signal.SIGTERM, False), (signal.SIGTERM, True),
+    ], ids=["SIGINT-to-group", "SIGTERM-to-run", "SIGTERM-to-group"])
+    def test_interrupted_run_stops_at_once(self, workdir, jobs, sig, to_group):
+        """SIGINT to the process group, as Ctrl-C sends, or SIGTERM to the run or its group:
+        the run stops within seconds, with one line, no output and no live process."""
+        tmp_path, cfg = workdir
+        proc, fifo = _held_extract(tmp_path, cfg, jobs)
+        before = sorted(os.listdir(tmp_path))
+        try:
+            (os.killpg if to_group else os.kill)(proc.pid, sig)
+            out, err = proc.communicate(timeout=5)
+            assert (proc.returncode, out, err) == (128 + sig, "", "error: interrupted\n")
+            assert sorted(os.listdir(tmp_path)) == before  # no feature CSV, no temporary file
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)  # the workers are gone too
+        finally:
+            _stop(proc, fifo)
+
+    def test_worker_exits_when_its_parent_dies(self, workdir):
+        """A worker blocked on its image exits once the run is killed outright."""
+        tmp_path, cfg = workdir
+        proc, fifo = _held_extract(tmp_path, cfg, "2")
+        watch = select.poll()
+        watch.register(fifo, 0)  # POLLERR comes once the FIFO's reader has closed it
+        try:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=5)
+            assert watch.poll(5000) == [(fifo, select.POLLERR)]
+        finally:
+            _stop(proc, fifo)
 
 
 class TestTrainPredict:

@@ -203,11 +203,11 @@ def extract(directory, valid, pgm, stale):
     return status
 
 
-def extract_manifest(directory, valid, manifest, stale):
+def extract_manifest(directory, valid, manifest, stale, cfg=VALID_CONFIG, jobs="1"):
     status, out, err, written = check(
         directory, ["extract", "--config", "run.cfg", "--manifest", "manifest.csv",
-                    "--out", "features.csv", "--jobs", "1"],
-        {"run.cfg": VALID_CONFIG, "manifest.csv": manifest,
+                    "--out", "features.csv", "--jobs", jobs],
+        {"run.cfg": cfg, "manifest.csv": manifest,
          "a.pgm": valid["phantom_0000_normal.pgm"], "b.pgm": valid["phantom_0005_suspicious.pgm"]},
         ["features.csv"], stale)
     if status == 2:
@@ -290,6 +290,13 @@ def test_predict_under_a_mutated_config(tmp_path, valid, cfg, stale):
 @given(cfg=mutated(VALID_CONFIG, CONFIG_TOKENS), stale=st.booleans())
 def test_phantom_exits_0_or_2_under_a_mutated_config(tmp_path, cfg, stale):
     phantom(tmp_path, cfg, stale)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@contract(300)
+@given(cfg=mutated(VALID_CONFIG, CONFIG_TOKENS), stale=st.booleans())
+def test_extract_under_a_mutated_config(tmp_path, valid, jobs, cfg, stale):
+    extract_manifest(tmp_path, valid, MANIFEST, stale, cfg, jobs)
 
 
 @contract(150)
