@@ -924,13 +924,10 @@ def _held_extract(tmp_path, cfg, jobs):
     os.mkfifo(images / "held.pgm")
     manifest = images / "manifest.csv"
     manifest.write_text(manifest.read_text().replace("label\n", "label\nheld.pgm,normal\n", 1))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "mammoscope.cli", "extract", "--config", cfg, "--manifest",
          str(manifest), "--out", str(tmp_path / "f.csv"), "--jobs", jobs],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_fresh_env(),
         start_new_session=True)
     held = []
     opener = threading.Thread(
@@ -1221,13 +1218,17 @@ def _outcome(call, output, capsys):
     return code, out, err, output.read_bytes() if output else None
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_outcome(call, output):
     """The same, for the command run in a fresh interpreter."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "mammoscope.cli", *call],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_fresh_env(), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr, output.read_bytes() if output else None
 
 
