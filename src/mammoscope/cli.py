@@ -64,14 +64,14 @@ def _interrupt(signum, frame) -> None:
     raise _Interrupted(signum)
 
 
-def _start_worker(parent: int) -> None:
+def _start_worker() -> None:
     """Pool initializer: Ctrl-C reaches the whole process group, but only the parent acts on
     it; SIGTERM kills, not the parent's handler copied at fork; and the worker exits once
     its parent is gone, which no signal reports."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)  # blocked by _pooled for the fork
-    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+    threading.Thread(target=_exit_with, args=(os.getppid(),), daemon=True).start()
 
 
 def _exit_with(parent: int) -> None:
@@ -86,9 +86,11 @@ def _pooled(workers: int, paths: list[str], cfg: PipelineConfig) -> list:
     An interrupt does not wait: ``main`` stops the workers. So the pool is shut down by
     hand, not by a ``with`` block, whose exit waits for every task.
     """
-    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(os.getpid(),))
-    # the workers fork at the first submit and inherit this mask, so no stop signal
-    # reaches one before its initializer has set what the signal does there
+    # forked whatever the platform's default start method, so that the workers inherit
+    # scipy, this mask and this process as their parent; they fork at the first submit, so
+    # no stop signal reaches one before its initializer has set what the signal does there
+    fork = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
     try:
         futures = [pool.submit(_extract_one, path, cfg) for path in paths]
@@ -256,9 +258,17 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _entry(path: str) -> str:
+    """The directory entry that writing ``path`` replaces: its directory resolved, its own
+    name kept, since ``os.replace`` renames over a symlink, not through it. So ``F`` and
+    ``./F`` are one entry, and ``/dev/stdout`` and ``/dev/stderr`` two, wherever they lead."""
+    head, name = os.path.split(os.path.abspath(path))
+    return os.path.join(os.path.realpath(head), name)
+
+
 def cmd_evaluate(args) -> int:
     roc_csv, roc_svg = args.roc_csv, args.roc_svg
-    if roc_csv and roc_svg and os.path.realpath(roc_csv) == os.path.realpath(roc_svg):
+    if roc_csv and roc_svg and _entry(roc_csv) == _entry(roc_svg):
         raise MammoscopeError(f"--roc-csv and --roc-svg name one file: {roc_csv}")
     cfg = load_config(args.config)
     table = _load_table(args.features)

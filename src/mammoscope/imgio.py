@@ -179,10 +179,15 @@ def write_pgm(img: GrayImage, maxval: int = 255, binary: bool = False) -> bytes:
     if binary:
         dtype = ">u2" if maxval > 255 else np.uint8
         return header.encode("ascii") + quantized.astype(dtype).tobytes()
-    # the range check above keeps every sample an index into the table; numpy pads each
-    # spelling with NULs to one width, and dropping them leaves "v v ... v\n" per row
-    table = np.array([b"%d " % v for v in range(int(quantized.max()) + 1)])
-    cells = table[quantized]
-    cells[:, -1] = [cell[:-1] + b"\n" for cell in cells[:, -1].tolist()]
-    raw = cells.view(np.uint8)
+    # one table row per sample value present: its digits right-aligned, NUL where a leading
+    # zero would be, then a space. Viewed as one bytes item per row, the table is gathered a
+    # cell at a time, and dropping the NULs leaves "v v ... v\n" per image row
+    present = np.bincount(quantized.ravel()) > 0  # the range check keeps every sample >= 0
+    values = np.flatnonzero(present)[:, None]
+    powers = 10 ** np.arange(len(str(values[-1, 0])) - 1, -1, -1)
+    digits = np.where(np.maximum(values, 1) >= powers, values // powers % 10 + ord("0"), 0)
+    table = np.hstack([digits, np.full_like(values, ord(" "))]).astype(np.uint8)
+    rank = np.cumsum(present) - 1  # each value's row in the table
+    raw = table.view(f"S{table.shape[1]}")[:, 0][rank[quantized]].view(np.uint8)
+    raw[:, -1] = ord("\n")
     return header.encode("ascii") + raw[raw != 0].tobytes()

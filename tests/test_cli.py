@@ -824,14 +824,15 @@ class TestOutputWrites:
         assert sorted(os.listdir(tmp_path)) == before
         assert other.exists() == stale and (not stale or other.read_text() == "previous\n")
 
-    @pytest.mark.parametrize("svg_path", ["roc.out", "./roc.out"])
+    @pytest.mark.parametrize("svg_path", ["roc.out", "./roc.out", "here/roc.out"])
     def test_two_roc_flags_naming_one_file_is_exit_2(self, workdir, capsys, monkeypatch, svg_path):
         """Both ROC tables cannot go to one file: exit 2 before anything is written, also when
-        the two spellings differ."""
+        the two spellings differ or one goes through a symlinked directory."""
         tmp_path, cfg = workdir
         feats = tmp_path / "f.csv"
         feats.write_text(_small_csv())
         (tmp_path / "roc.out").write_text("previous\n")
+        os.symlink(".", tmp_path / "here")
         before = sorted(os.listdir(tmp_path))
         monkeypatch.chdir(tmp_path)
         assert run(["evaluate", "--config", cfg, "--features", str(feats),
@@ -840,6 +841,21 @@ class TestOutputWrites:
         assert capsys.readouterr() == ("", err)
         assert sorted(os.listdir(tmp_path)) == before
         assert (tmp_path / "roc.out").read_text() == "previous\n"
+
+    def test_two_devices_on_one_pipe_are_two_outputs(self, workdir):
+        """``/dev/stdout`` and ``/dev/stderr`` lead to one pipe under ``2>&1``, but they are two
+        names, each written in place: both ROC tables arrive."""
+        tmp_path, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        proc = subprocess.run(
+            [sys.executable, "-m", "mammoscope.cli", "evaluate", "--config", cfg, "--features",
+             str(feats), "--roc-csv", "/dev/stdout", "--roc-svg", "/dev/stderr"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=_fresh_env(),
+            timeout=120)
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.startswith("threshold,fpr,tpr\n")
+        assert "</svg>" in proc.stdout and "auc         : " in proc.stdout
 
     def test_extract_missing_output_directory_is_exit_2(self, workdir, capsys):
         tmp_path, cfg = workdir
@@ -969,6 +985,24 @@ class TestInterrupt:
                 os.killpg(proc.pid, 0)  # the workers are gone too
         finally:
             _stop(proc, fifo)
+
+    def test_pool_forks_under_a_forkserver_default(self, workdir):
+        """Under a forkserver default start method too, a worker's parent is the run, so its
+        exit watcher keeps it: ``--jobs 2`` writes what ``--jobs 1`` writes."""
+        tmp_path, cfg = workdir
+        images = tmp_path / "images"
+        assert run(["phantom", "--config", cfg, "--out", str(images)]) == 0
+        argv = ["extract", "--config", cfg, "--manifest", str(images / "manifest.csv")]
+        assert run([*argv, "--out", str(tmp_path / "serial.csv")]) == 0
+        argv += ["--out", str(tmp_path / "pooled.csv"), "--jobs", "2"]
+        script = ("import multiprocessing, sys\n"
+                  "multiprocessing.set_start_method('forkserver')\n"
+                  "from mammoscope import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=_fresh_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_worker_exits_when_its_parent_dies(self, workdir):
         """A worker blocked on its image exits once the run is killed outright."""
