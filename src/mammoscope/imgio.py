@@ -1,9 +1,10 @@
 """PGM reading and writing, plus the normalized raster the pipeline works on.
 
 Supports the two grayscale Netpbm formats only: plain "P2" (ASCII) and raw
-"P5" (binary, big-endian two-byte samples above maxval 255). Header
-comments starting with ``#`` are accepted wherever whitespace may appear,
-since real scanner exports contain them.
+"P5" (binary, big-endian two-byte samples above maxval 255). Comments, ``#``
+to end of line, may stand between header fields and among P2 samples. P5
+rejects one right after maxval, where readers disagree on where the raster
+starts: there, one whitespace byte ends the header.
 """
 
 from __future__ import annotations
@@ -44,20 +45,12 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-# a run of whitespace bytes and '#'-to-end-of-line comments, then one token
-_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*([^ \t\r\n\x0b\x0c#]*)")
-
-
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    match = _TOKEN.match(data, pos)
-    return match.group(1), match.end()
-
-
-def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _next_token(data, pos)
-    if not token.isdigit():
-        raise MammoscopeError(f"non-numeric {what} token {token!r}")
-    return int(token), pos
+# the six whitespace bytes, as bytes.split() has them, and a '#'-to-end-of-line comment
+_SPACE, _COMMENT = rb" \t\r\n\x0b\x0c", re.compile(rb"#[^\n]*")
+# magic, width, height and maxval, each after any whitespace and comments, then the byte
+# that ends the header: whitespace, '#', or none at the end of the data
+_FIELD = rb"(?:[%s]|%s)*([^%s#]*)" % (_SPACE, _COMMENT.pattern, _SPACE)
+_HEADER = re.compile(_FIELD * 4 + rb"(.?)", re.DOTALL)
 
 
 # 10**18 < 2**63, so a run with at most this many significant digits fits int64
@@ -119,12 +112,16 @@ def read_pgm(data: bytes) -> RawImage:
     MammoscopeError naming the failure: a bad header, missing samples, or
     a sample that is not digits or exceeds maxval.
     """
-    magic, pos = _next_token(data, 0)
+    header = _HEADER.match(data)
+    magic, *fields, end = header.groups()
     if magic not in (b"P2", b"P5"):
         raise MammoscopeError(f"unsupported magic {magic!r}; expected P2 or P5")
-    width, pos = _header_int(data, pos, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval, pos = _header_int(data, pos, "maxval")
+    numbers = []
+    for what, token in zip(("width", "height", "maxval"), fields):
+        if not token.isdigit():
+            raise MammoscopeError(f"non-numeric {what} token {token!r}")
+        numbers.append(int(token))
+    width, height, maxval = numbers
     if width < 1 or height < 1:
         raise MammoscopeError(f"non-positive dimensions {width}x{height}")
     if not 1 <= maxval <= MAX_MAXVAL:
@@ -132,19 +129,18 @@ def read_pgm(data: bytes) -> RawImage:
 
     count = width * height
     if magic == b"P2":
-        payload = re.sub(rb"#[^\n]*", b"", data[pos:])
+        payload = _COMMENT.sub(b"", data[header.end(4) :])
         samples = _decode_p2(payload, count)
         if samples is None:
             samples = _p2_samples(payload, count, maxval)
     else:
-        # exactly one whitespace byte separates maxval from the binary payload
-        start = pos + 1
+        if end == b"#":
+            raise MammoscopeError("comment between maxval and the P5 raster")
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-        needed = dtype.itemsize * count
-        available = max(len(data) - start, 0)
+        needed, available = dtype.itemsize * count, len(data) - header.end()
         if available < needed:
             raise MammoscopeError(f"expected {needed} bytes, got {available}")
-        samples = np.frombuffer(data, dtype, count, start)
+        samples = np.frombuffer(data, dtype, count, header.end())
         samples = samples.astype(dtype.newbyteorder("="), copy=False)
 
     if samples.max() > maxval:

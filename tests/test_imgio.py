@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mammoscope import imgio
 from mammoscope.errors import MammoscopeError
-from mammoscope.imgio import GrayImage, RawImage, _next_token, read_pgm, to_gray, write_pgm
+from mammoscope.imgio import GrayImage, RawImage, read_pgm, to_gray, write_pgm
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
@@ -62,6 +62,38 @@ def reference_p2_samples(payload: bytes, count: int, maxval: int) -> np.ndarray:
     return samples
 
 
+def reference_read_pgm(data: bytes) -> RawImage:
+    """read_pgm through four reference tokens: magic, width, height and maxval. The P5
+    raster starts one byte after maxval, and a comment there is refused."""
+    magic, pos = reference_next_token(data, 0)
+    if magic not in (b"P2", b"P5"):
+        raise MammoscopeError(f"unsupported magic {magic!r}; expected P2 or P5")
+    numbers = []
+    for what in ("width", "height", "maxval"):
+        token, pos = reference_next_token(data, pos)
+        if not token.isdigit():
+            raise MammoscopeError(f"non-numeric {what} token {token!r}")
+        numbers.append(int(token))
+    width, height, maxval = numbers
+    if width < 1 or height < 1:
+        raise MammoscopeError(f"non-positive dimensions {width}x{height}")
+    if not 1 <= maxval <= 65535:
+        raise MammoscopeError(f"maxval {maxval} outside 1..65535")
+    count = width * height
+    if magic == b"P2":
+        return RawImage(width, height, maxval, reference_p2_samples(data[pos:], count, maxval))
+    if data[pos : pos + 1] == b"#":
+        raise MammoscopeError("comment between maxval and the P5 raster")
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    needed, available = dtype.itemsize * count, max(len(data) - (pos + 1), 0)
+    if available < needed:
+        raise MammoscopeError(f"expected {needed} bytes, got {available}")
+    samples = np.frombuffer(data, dtype, count, pos + 1).astype(dtype.newbyteorder("="))
+    if samples.max() > maxval:
+        raise MammoscopeError(f"sample {int(samples.max())} exceeds maxval {maxval}")
+    return RawImage(width, height, maxval, samples)
+
+
 def reference_p2_encode(img: GrayImage, maxval: int) -> bytes:
     """One str() per sample: the plain PGM encoder that write_pgm vectorizes."""
     quantized = np.floor(img.pixels * maxval + 0.5).astype(np.int64)
@@ -109,6 +141,23 @@ class TestReadPgm:
         raw = read_pgm(data)
         assert (raw.width, raw.height) == (2, 1)
         assert raw.samples.tolist() == [3, 4]
+
+    @pytest.mark.parametrize("data, outcome", [
+        (b"P5 2 1 255#c\n\x05\x06", "comment between maxval and the P5 raster"),
+        (b"P5 2 1 255#\x05\x06", "comment between maxval and the P5 raster"),
+        (b"P5 2 1 255#", "comment between maxval and the P5 raster"),
+        # one space ends the header, so the raster starts at the '#'
+        (b"P5 2 1 255 #c\n", [ord("#"), ord("c")]),
+        (b"P5 2 1 255", "expected 2 bytes, got 0"),
+        (b"P2 2 1 255#c\n5 6", [5, 6]),
+    ], ids=["p5-comment-line", "p5-comment-then-raster", "p5-comment-at-end",
+            "p5-space-then-hash", "p5-maxval-at-end", "p2-comment-after-maxval"])
+    def test_what_follows_maxval(self, data, outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(MammoscopeError, match=f"^{outcome}$"):
+                read_pgm(data)
+        else:
+            assert read_pgm(data).samples.tolist() == outcome
 
     def test_non_numeric_header_token(self):
         with pytest.raises(MammoscopeError, match="non-numeric width token b'two'"):
@@ -307,6 +356,15 @@ HOSTILE_TOKENS = st.one_of(
 )
 
 
+# header pieces: runs of whitespace and comments, and field tokens good and bad
+DIMENSIONS = st.sampled_from([b"1", b"2", b"3", b"02"])
+GAPS = st.lists(st.sampled_from([bytes([c]) for c in _WHITESPACE] + [b"#c\n", b"# 7 #\r\n"]),
+                min_size=1, max_size=3).map(b"".join)
+HEADER_FIELDS = st.sampled_from([b"#", b"P2", b"P5", b"P7", b"0", b"1", b"2", b"3", b"255",
+                                 b"256", b"4095", b"65535", b"70000", b"1_0", b"+1", b"x", b"\x00",
+                                 b"\xa0"])
+
+
 def read_outcome(read, *args):
     """What a reader gives: the decoded image's fields, or the error message."""
     try:
@@ -349,27 +407,22 @@ class TestReadPgmProperties:
         got = read_outcome(read_pgm, b"P2 %d %d %d" % (width, height, maxval) + payload)
         assert got == read_outcome(reference, payload)
 
-    @settings(deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
-        data=st.one_of(
-            st.binary(max_size=48),
-            st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#",
-                                      b"P2", b"12", b"\x00", b"\xff", b"a", b"\x85", b"\xa0"]),
-                     max_size=24).map(b"".join),
+        pieces=st.one_of(
+            st.tuples(st.one_of(st.just(b""), GAPS), st.sampled_from([b"P2", b"P5"]),
+                      GAPS, DIMENSIONS, GAPS, DIMENSIONS,
+                      GAPS, st.sampled_from([b"1", b"9", b"255", b"256", b"4095", b"65535"])),
+            st.lists(st.one_of(GAPS, HEADER_FIELDS), max_size=10),
         ),
-        pick=st.data(),
+        end=st.sampled_from([b"", b" ", b"\n", b"\r\n", b"\t", b"#", b"#c\n", b" #c\n"]),
+        tail=st.one_of(st.binary(max_size=16),
+                       st.lists(st.integers(0, 300).map(str), max_size=8).map(" ".join)
+                       .map(str.encode)),
     )
-    def test_tokenizer_matches_byte_loop_reference(self, data, pick):
-        pos = pick.draw(st.integers(0, len(data)))
-        assert _next_token(data, pos) == reference_next_token(data, pos)
-        # walking the whole buffer token by token gives the same sequence
-        got = want = 0
-        for _ in range(len(data) + 1):
-            token, got = _next_token(data, got)
-            ref, want = reference_next_token(data, want)
-            assert (token, got) == (ref, want)
-            if not ref:
-                break
+    def test_header_matches_byte_loop_reference(self, pieces, end, tail):
+        data = b"".join(pieces) + end + tail
+        assert read_outcome(read_pgm, data) == read_outcome(reference_read_pgm, data)
 
     @staticmethod
     def parses_or_raises_mammoscope_error(data):
