@@ -108,26 +108,29 @@ def _write_output(outputs: dict[str | Path, bytes]) -> None:
     target. So a run killed mid-write leaves no truncated file, and a path
     that cannot be written leaves every target as it was. A target that
     exists and is not a regular file (a pipe, ``/dev/stdout``) is written
-    in place, at once. An interrupt, too, leaves no temporary file behind.
+    in place, once every temporary file is. An interrupt, too, leaves no
+    temporary file behind.
     """
-    staged = []  # (temporary file, target path), renamed once all are written
+    staged, in_place = [], []  # (temporary file, target path) and (target path, bytes)
     try:
         for path, data in outputs.items():
             target = Path(path)
             if target.exists() and not target.is_file():
-                target.write_bytes(data)
+                in_place.append((path, data))
                 continue
             staged.append((target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp"), path))
             with open(staged[-1][0], "xb") as f:
                 f.write(data)
+        for path, data in in_place:
+            Path(path).write_bytes(data)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException as exc:
         for tmp, _ in staged:
             with contextlib.suppress(OSError):  # one already renamed is gone
                 tmp.unlink()
-        if isinstance(exc, OSError):
-            raise MammoscopeError(f"cannot write {path}: {exc}") from None
+        if isinstance(exc, OSError):  # its strerror, since its message names the temporary file
+            raise MammoscopeError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -268,14 +271,16 @@ def _entry(path: str) -> str:
 
 def cmd_evaluate(args) -> int:
     roc_csv, roc_svg = args.roc_csv, args.roc_svg
-    if roc_csv and roc_svg and _entry(roc_csv) == _entry(roc_svg):
+    if roc_csv is not None and roc_svg is not None and _entry(roc_csv) == _entry(roc_svg):
         raise MammoscopeError(f"--roc-csv and --roc-svg name one file: {roc_csv}")
     cfg = load_config(args.config)
     table = _load_table(args.features)
     result = run_cross_validation(table, cfg)
 
     rocs = {roc_csv: evaluation.roc_to_csv, roc_svg: evaluation.roc_to_svg}
-    _write_output({p: render(result.curve).encode("ascii") for p, render in rocs.items() if p})
+    _write_output(
+        {p: render(result.curve).encode("ascii") for p, render in rocs.items() if p is not None}
+    )
     m = result.matrix
     print(f"cases       : {m.total}")
     print(f"folds       : {cfg.cv_folds} (seed {cfg.cv_seed})")

@@ -857,6 +857,42 @@ class TestOutputWrites:
         assert proc.stdout.startswith("threshold,fpr,tpr\n")
         assert "</svg>" in proc.stdout and "auc         : " in proc.stdout
 
+    def test_pipe_is_written_only_once_every_other_output_is_staged(self, workdir, capsys):
+        """A FIFO target is written in place, but after every temporary file: when the other
+        ROC file cannot be written, nothing reaches the FIFO. The error names the target, not
+        its temporary file, so two runs print the same."""
+        tmp_path, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        fifo, svg = tmp_path / "roc.fifo", tmp_path / "nodir" / "r.svg"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so a writer's open does not block
+        try:
+            errors = []
+            for _ in range(2):
+                assert run(["evaluate", "--config", cfg, "--features", str(feats),
+                            "--roc-csv", str(fifo), "--roc-svg", str(svg)]) == 2
+                errors.append(capsys.readouterr().err)
+            assert os.read(reader, 1 << 16) == b""
+        finally:
+            os.close(reader)
+        assert errors == [f"error: cannot write {svg}: No such file or directory\n"] * 2
+
+    @pytest.mark.parametrize("empty", ["--roc-csv", "--roc-svg"])
+    def test_empty_roc_path_is_exit_2(self, workdir, capsys, monkeypatch, empty):
+        """An empty ROC path is a path that cannot be written, as ``train --out ""`` is: exit 2,
+        and the other ROC file is not written."""
+        tmp_path, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        other = {"--roc-csv": "--roc-svg", "--roc-svg": "--roc-csv"}[empty]
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert run(["evaluate", "--config", cfg, "--features", str(feats),
+                    empty, "", other, "roc.out"]) == 2
+        assert capsys.readouterr() == ("", "error: cannot write : Is a directory\n")
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_extract_missing_output_directory_is_exit_2(self, workdir, capsys):
         tmp_path, cfg = workdir
         out = tmp_path / "images"
