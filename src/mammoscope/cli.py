@@ -108,7 +108,7 @@ def _write_output(outputs: dict[str | Path, bytes]) -> None:
     target. So a run killed mid-write leaves no truncated file, and a path
     that cannot be written leaves every target as it was. A target that
     exists and is not a regular file (a pipe, ``/dev/stdout``) is written
-    in place, once every temporary file is. An interrupt, too, leaves no
+    in place, after every temporary file. An interrupt, too, leaves no
     temporary file behind.
     """
     staged, in_place = [], []  # (temporary file, target path) and (target path, bytes)
@@ -129,7 +129,7 @@ def _write_output(outputs: dict[str | Path, bytes]) -> None:
         for tmp, _ in staged:
             with contextlib.suppress(OSError):  # one already renamed is gone
                 tmp.unlink()
-        if isinstance(exc, OSError):  # its strerror, since its message names the temporary file
+        if isinstance(exc, OSError):  # strerror alone: the message may name a temporary file
             raise MammoscopeError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
@@ -271,7 +271,7 @@ def _entry(path: str) -> str:
 
 def cmd_evaluate(args) -> int:
     roc_csv, roc_svg = args.roc_csv, args.roc_svg
-    if roc_csv is not None and roc_svg is not None and _entry(roc_csv) == _entry(roc_svg):
+    if None not in (roc_csv, roc_svg) and _entry(roc_csv) == _entry(roc_svg):
         raise MammoscopeError(f"--roc-csv and --roc-svg name one file: {roc_csv}")
     cfg = load_config(args.config)
     table = _load_table(args.features)

@@ -2,9 +2,9 @@
 
 Supports the two grayscale Netpbm formats only: plain "P2" (ASCII) and raw
 "P5" (binary, big-endian two-byte samples above maxval 255). Comments, ``#``
-to end of line, may stand between header fields and among P2 samples. P5
-rejects one right after maxval, where readers disagree on where the raster
-starts: there, one whitespace byte ends the header.
+to end of line, may stand before and between header fields and among P2
+samples. P5 rejects one right after maxval, where readers disagree on where
+the raster starts: there, one whitespace byte ends the header.
 """
 
 from __future__ import annotations

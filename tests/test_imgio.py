@@ -357,7 +357,7 @@ HOSTILE_TOKENS = st.one_of(
 
 
 # header pieces: runs of whitespace and comments, and field tokens good and bad
-DIMENSIONS = st.sampled_from([b"1", b"2", b"3", b"02"])
+DIMENSIONS = st.sampled_from([b"1", b"2", b"3", b"02", b"0", b"x"])
 GAPS = st.lists(st.sampled_from([bytes([c]) for c in _WHITESPACE] + [b"#c\n", b"# 7 #\r\n"]),
                 min_size=1, max_size=3).map(b"".join)
 HEADER_FIELDS = st.sampled_from([b"#", b"P2", b"P5", b"P7", b"0", b"1", b"2", b"3", b"255",
@@ -412,11 +412,13 @@ class TestReadPgmProperties:
         pieces=st.one_of(
             st.tuples(st.one_of(st.just(b""), GAPS), st.sampled_from([b"P2", b"P5"]),
                       GAPS, DIMENSIONS, GAPS, DIMENSIONS,
-                      GAPS, st.sampled_from([b"1", b"9", b"255", b"256", b"4095", b"65535"])),
-            st.lists(st.one_of(GAPS, HEADER_FIELDS), max_size=10),
+                      GAPS, st.sampled_from([b"1", b"9", b"255", b"256", b"4095", b"65535", b"0",
+                                             b"70000", b"+1"])),
+            st.lists(st.one_of(GAPS, HEADER_FIELDS, st.binary(min_size=1, max_size=4)),
+                     max_size=10),
         ),
         end=st.sampled_from([b"", b" ", b"\n", b"\r\n", b"\t", b"#", b"#c\n", b" #c\n"]),
-        tail=st.one_of(st.binary(max_size=16),
+        tail=st.one_of(st.binary(max_size=24), st.binary(min_size=18, max_size=24),
                        st.lists(st.integers(0, 300).map(str), max_size=8).map(" ".join)
                        .map(str.encode)),
     )
