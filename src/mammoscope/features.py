@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import MammoscopeError
-from .fourier import centred, fft2d, half_log_magnitude, mirrored_columns
+from .fourier import centred, half_log_magnitude, mirrored_columns
 from .imgio import GrayImage
 from .wavelet import DETAIL_BANDS, get_filter, dwt2d
 
@@ -51,13 +51,16 @@ def _as_map(values) -> np.ndarray:
     return a
 
 
-def moments(values, twice: slice | None = None) -> tuple[float, float, float, float]:
+def moments(
+    values, twice: slice | None = None, in_place: bool = False
+) -> tuple[float, float, float, float]:
     """Population (mean, std, skewness, kurtosis) of a map in one pass.
 
-    The map is centred once; its square, cube and fourth power then reuse
-    two buffers. Entries in the last-axis slice ``twice`` count twice, so a
-    half-plane spectrum gives the moments of the full grid it stands for.
-    Skewness and kurtosis are 0 for degenerate maps.
+    The map is centred once, into a copy or, with ``in_place``, over a float64
+    array's own entries, which the caller then no longer reads; its square,
+    cube and fourth power then reuse two buffers. Entries in the last-axis
+    slice ``twice`` count twice, so a half-plane spectrum gives the moments of
+    the full grid it stands for. Skewness and kurtosis are 0 for degenerate maps.
     """
     a = _as_map(values)
     n = a.size
@@ -70,7 +73,7 @@ def moments(values, twice: slice | None = None) -> tuple[float, float, float, fl
             return x.sum() + x[..., twice].sum()
 
     m = total(a) / n
-    c = a - m
+    c = np.subtract(a, m, out=a) if in_place else a - m
     c2 = np.square(c)
     sigma = np.sqrt(total(c2) / n)
     if sigma <= DEGENERATE_STD:
@@ -167,17 +170,19 @@ def extract_features(img: GrayImage, cfg: FeatureConfig = FeatureConfig()) -> Fe
         raise ValueError(f"unknown feature mode {cfg.mode!r}")
     extended = cfg.mode == "extended"
     decomp = dwt2d(img.pixels, get_filter(cfg.filter), cfg.levels, details=extended)
-    log_half = half_log_magnitude(fft2d(img.pixels))  # the complex half plane is freed here
+    log_half = half_log_magnitude(img.pixels)
 
     names: list[str] = []
     values: list[float] = []
 
-    def add_moments(prefix: str, grid: np.ndarray, twice: slice | None = None) -> None:
+    def add_moments(prefix: str, grid: np.ndarray, twice: slice | None = None,
+                    in_place: bool = False) -> None:
         names.extend(f"{prefix}_{stat}" for stat in _STATS)
-        values.extend(moments(grid, twice))
+        values.extend(moments(grid, twice, in_place))
 
     add_moments("wll", decomp.approx)
-    add_moments("fft", log_half, mirrored_columns(len(log_half)))
+    # only extended reads the log map after its moments, to lay it out for xcorr
+    add_moments("fft", log_half, mirrored_columns(len(log_half)), in_place=not extended)
     if extended:
         for level, bands in enumerate(decomp.details, start=1):
             for band in DETAIL_BANDS:

@@ -65,12 +65,14 @@ def _extract_or_die(path, cfg):
 
 
 _EXTRACT_FEATURES = cli.extract_features
-OUT_OF_MEMORY = "Unable to allocate 32.0 GiB for an array with shape (65536, 32769)"
+OUT_OF_MEMORY = (
+    "Unable to allocate 16.0 GiB for an array with shape (65536, 32769) and data type float64"
+)
 
 
 def _extract_or_run_out(img, cfg):
     """Stands in for ``cli.extract_features``: an image wider than tall cannot be allocated,
-    as a 16 x 40,000 image's padded 65,536-point spectrum cannot be."""
+    as a 16 x 40,000 image's log-magnitude map over a 65,536-point padding cannot be."""
     if img.width > img.height:
         raise MemoryError(OUT_OF_MEMORY)
     return _EXTRACT_FEATURES(img, cfg)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import scipy
 
-from mammoscope.fourier import Spectrum, centred, dft2d_direct, fft2d, log_magnitude
+from mammoscope.fourier import (
+    Spectrum,
+    centred,
+    dft2d_direct,
+    fft2d,
+    half_log_magnitude,
+    log_magnitude,
+)
 
 
 def max_relative_error(got, want):
@@ -144,7 +151,12 @@ def reference_log_magnitude(m, n):
 DIFFERENTIAL_CASES = [(1, 1), (2, 2), (3, 5), (5, 7), (33, 20)] + [
     (size, size) for size in (3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 63, 64)
 ]
-RFFT2_CASES = DIFFERENTIAL_CASES + [(256, 256), (300, 200), (1025, 1025)]
+# padded shapes cross column-block edges: N/2 + 1 is odd from N = 4 on, so never a multiple
+# of the block width, and (100, 40), padded to 128, ends on a one-column block; the
+# power-of-two squares and (64, 20), with no row padded, take the one-pass column transform
+BLOCK_CASES = [(1, 1), (1, 2), (3, 5), (5, 3), (17, 17), (33, 20), (300, 200), (257, 257),
+               (100, 40), (20, 64), (64, 20), (2, 2), (64, 64), (256, 256)]
+RFFT2_CASES = sorted(set(DIFFERENTIAL_CASES + BLOCK_CASES + [(1025, 1025)]))
 
 
 class TestHalfPlane:
@@ -208,3 +220,34 @@ class TestHalfPlane:
         """On the pinned builds the two libraries agree to the last bit."""
         half, want = _half_and_rfft2(shape)
         assert np.array_equal(half.view(np.int64), want.view(np.int64))
+
+
+def one_pass_half_plane(m):
+    """The half plane and its log map with the whole column pass at once: rfft over the
+    rows, then one fft(..., n=N) down the padded columns, then log1p|F| over all of it."""
+    n = 1 << (max(*m.shape) - 1).bit_length()
+    half = scipy.fft.fft(scipy.fft.rfft(m, n=n, axis=1), n=n, axis=0)
+    mag = np.abs(half)
+    return half, np.log1p(mag, out=mag)
+
+
+class TestColumnBlocks:
+    """The column pass in blocks gives what one pass over all columns gives, to the bit."""
+
+    @pytest.mark.parametrize("shape", BLOCK_CASES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_equal_to_one_pass_bit_for_bit(self, shape):
+        m = np.random.default_rng(shape[0] * 1000 + shape[1]).standard_normal(shape)
+        half, log_half = one_pass_half_plane(m)
+        got = fft2d(m).half
+        assert got.shape == half.shape
+        assert np.array_equal(got.view(np.int64), half.view(np.int64))
+        got = half_log_magnitude(m)
+        assert got.dtype == np.float64 and got.shape == log_half.shape
+        assert np.array_equal(got.view(np.int64), log_half.view(np.int64))
+
+    def test_signed_zeros_kept(self):
+        """A zero image's bins are all signed zeros; both forms give the same sign bits."""
+        m = np.zeros((5, 3))
+        half, log_half = one_pass_half_plane(m)
+        assert np.array_equal(fft2d(m).half.view(np.int64), half.view(np.int64))
+        assert np.array_equal(half_log_magnitude(m).view(np.int64), log_half.view(np.int64))

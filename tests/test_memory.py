@@ -1,10 +1,11 @@
 """Peak memory of the two steps that handle large data.
 
 The feature-table reader walks its text line by line instead of wrapping
-it in ``io.StringIO``, which stores a copy at 4 bytes per character, and
-``extract_features`` drops the complex half plane once its log-magnitude
-is taken. Peaks are measured with ``tracemalloc``, which sees every numpy
-buffer, and given in units of the input they scale with.
+it in ``io.StringIO``, which stores a copy at 4 bytes per character.
+``extract_features`` never holds a padded image's complex half plane whole,
+and ``default8`` centres the log-magnitude map in place for its moments.
+Peaks are measured with ``tracemalloc``, which sees every numpy buffer, and
+given in units of the input they scale with.
 """
 
 import csv
@@ -51,17 +52,18 @@ class TestTablePeak:
         assert traced_peak(table_from_csv, text) < 2 * len(text)
 
 
-# One half-plane map: N x (N/2 + 1) float64 for a 257² image, which fft2d pads to N = 512.
+# One half-plane map: N x (N/2 + 1) float64 for an image whose longest side fft2d pads to 512.
 HALF_MAP = 512 * 257 * 8
 
 
 class TestExtractPeak:
-    @pytest.mark.parametrize("mode, bound", [("default8", 4.0), ("extended", 5.0)])
-    def test_peak_in_half_plane_maps(self, mode, bound):
-        """default8 holds the log half plane and the two moment buffers; extended adds
-        the centred N x N map, written once. The complex half plane (two maps) is gone
-        by then."""
-        img = GrayImage(np.random.default_rng(257).random((257, 257)))
+    @pytest.mark.parametrize("shape", [(257, 257), (300, 200)], ids=["257x257", "300x200"])
+    @pytest.mark.parametrize("mode, bound", [("default8", 2.75), ("extended", 5.0)])
+    def test_peak_in_half_plane_maps(self, mode, bound, shape):
+        """The column pass holds the row pass's output, the log half plane and one block.
+        default8 then centres that map in place, so its moments add one buffer; extended
+        centres a copy and adds the centred N x N map, written once."""
+        img = GrayImage(np.random.default_rng(shape[0]).random(shape))
         peak = traced_peak(extract_features, img, FeatureConfig(mode=mode))
         assert peak / HALF_MAP < bound
 
