@@ -10,6 +10,7 @@ the raster starts: there, one whitespace byte ends the header.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +118,12 @@ def read_pgm(data: bytes) -> RawImage:
     if magic not in (b"P2", b"P5"):
         raise MammoscopeError(f"unsupported magic {magic!r}; expected P2 or P5")
     numbers = []
+    limit = sys.get_int_max_str_digits()  # the most digits int() reads; 0 lifts the limit
     for what, token in zip(("width", "height", "maxval"), fields):
         if not token.isdigit():
             raise MammoscopeError(f"non-numeric {what} token {token!r}")
+        if 0 < limit < len(token):
+            raise MammoscopeError(f"{what} token of {len(token)} digits, more than {limit}")
         numbers.append(int(token))
     width, height, maxval = numbers
     if width < 1 or height < 1:

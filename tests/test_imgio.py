@@ -1,6 +1,7 @@
 """Tests for PGM parsing, emission and the gray conversion."""
 
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -73,6 +74,10 @@ def reference_read_pgm(data: bytes) -> RawImage:
         token, pos = reference_next_token(data, pos)
         if not token.isdigit():
             raise MammoscopeError(f"non-numeric {what} token {token!r}")
+        if 0 < sys.get_int_max_str_digits() < len(token):
+            raise MammoscopeError(
+                f"{what} token of {len(token)} digits, more than {sys.get_int_max_str_digits()}"
+            )
         numbers.append(int(token))
     width, height, maxval = numbers
     if width < 1 or height < 1:
@@ -229,6 +234,24 @@ class TestReadPgm:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P2 " + b"1" * 5000 + b" 1 255 0", "width token of 5000 digits, more than 4300"),
+        (b"P5 1 " + b"0" * 4301 + b" 255 A", "height token of 4301 digits, more than 4300"),
+        (b"P2 1 1 " + b"9" * 4301 + b" 0", "maxval token of 4301 digits, more than 4300"),
+        # each field is checked in turn, so an earlier field's error comes first
+        (b"P2 x " + b"1" * 5000 + b" 255 0", "non-numeric width token b'x'"),
+        (b"P2 " + b"1" * 5000 + b" x 255 0", "width token of 5000 digits, more than 4300"),
+    ], ids=["width", "height-zero-padded", "maxval", "bad-width-first", "long-width-first"])
+    def test_header_field_past_the_digit_limit(self, data, message):
+        """int() refuses more than sys.get_int_max_str_digits() digits, 4300 by default,
+        with a ValueError; read_pgm names the field first."""
+        with pytest.raises(MammoscopeError, match=f"^{re.escape(message)}$"):
+            read_pgm(data)
+
+    def test_header_field_at_the_digit_limit_reads(self):
+        raw = read_pgm(b"P2 " + b"0" * 4299 + b"2 1 255 3 4")
+        assert (raw.width, raw.height, raw.samples.tolist()) == (2, 1, [3, 4])
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(MammoscopeError, match="non-positive dimensions 0x2"):
