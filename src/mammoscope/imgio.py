@@ -58,51 +58,47 @@ _HEADER = re.compile(_FIELD * 4 + rb"(.?)", re.DOTALL)
 _MAX_DIGITS = 18
 
 
-def _decode_p2(payload: bytes, count: int) -> np.ndarray | None:
-    """The first ``count`` whitespace-separated runs of a comment-free
-    payload as int64 samples, or None when a run is missing, holds a
-    non-digit, or has more than _MAX_DIGITS digits."""
+def _p2_samples(payload: bytes, count: int, maxval: int) -> np.ndarray:
+    """The first ``count`` whitespace-separated runs of a comment-free payload
+    as int64 samples, read as int() reads each one.
+
+    Runs of at most _MAX_DIGITS ASCII digits are decoded together in numpy;
+    only the odd runs, those with any other byte or more digits, go through
+    int(), one at a time and in file order. Raises MammoscopeError, in order of
+    precedence, for the first run int() cannot read, a value beyond int64, too
+    few runs, or the first run with a sign or '_'.
+    """
     codes = np.frombuffer(payload, np.uint8)
     # the six bytes bytes.split() splits at: ' ' and 9..13 (uint8 wraps below 9)
     space = (codes == ord(" ")) | (codes - 9 <= 4)
-    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
-    if len(edges) < 2 * count:
-        return None
-    starts, ends = edges[0 : 2 * count : 2], edges[1 : 2 * count : 2]
-    head = slice(0, ends[-1])
-    if ((codes[head] - ord("0") > 9) & ~space[head]).any():
-        return None
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))[: 2 * count]
+    starts, ends = edges[0::2], edges[1::2]
     lengths = ends - starts
-    width = int(lengths.max())
-    if width > _MAX_DIGITS:
-        return None
-    samples = np.zeros(count, np.int64)
-    for k in range(width, 0, -1):
-        # Horner step over the k-th digit from each run's end; a run shorter
-        # than k reads a byte before its start (wrapping at 0) that is masked
-        samples *= 10
-        samples += np.where(lengths >= k, codes[ends - k] - ord("0"), 0)
-    return samples
-
-
-def _p2_samples(payload: bytes, count: int, maxval: int) -> np.ndarray:
-    """The first ``count`` tokens read one by one with int(), for payloads
-    _decode_p2 refuses. Raises MammoscopeError, in order of precedence, for
-    the first token int() cannot read, a value beyond int64, too few
-    tokens, or the first token with a sign or '_'."""
-    tokens = payload.split()[:count]
+    head = slice(0, edges.max(initial=0))  # through the count-th run
+    stray = np.flatnonzero((codes[head] - ord("0") > 9) & ~space[head])
+    odd = lengths > _MAX_DIGITS
+    odd[np.searchsorted(starts, stray, "right") - 1] = True  # the run each stray byte is in
+    tokens = [payload[s:e] for s, e in zip(starts[odd].tolist(), ends[odd].tolist())]
     try:
-        samples = np.array(list(map(int, tokens)), dtype=np.int64)
+        values = np.array(list(map(int, tokens)), dtype=np.int64)
     except ValueError as exc:
         raise MammoscopeError(f"unreadable sample token: {exc}") from None
     except OverflowError:
         raise MammoscopeError(f"sample outside 0..{maxval}") from None
-    if len(tokens) < count:
-        raise MammoscopeError(f"expected {count} samples, got {len(tokens)}")
+    if len(starts) < count:
+        raise MammoscopeError(f"expected {count} samples, got {len(starts)}")
     # int() also reads a sign and '_' digit separators, the only non-digits it takes
     bad = next((t for t in tokens if not t.isdigit()), None)
     if bad is not None:
         raise MammoscopeError(f"sample token {bad!r} is not ASCII decimal digits")
+    lengths[odd] = 0
+    samples = np.zeros(count, np.int64)
+    for k in range(lengths.max(), 0, -1):
+        # Horner step over the k-th digit from each run's end; a run shorter than k,
+        # odd runs included, reads a byte before its end (wrapping at 0) that is masked
+        samples *= 10
+        samples += np.where(lengths >= k, codes[ends - k] - ord("0"), 0)
+    samples[odd] = values
     return samples
 
 
@@ -133,10 +129,7 @@ def read_pgm(data: bytes) -> RawImage:
 
     count = width * height
     if magic == b"P2":
-        payload = _COMMENT.sub(b"", data[header.end(4) :])
-        samples = _decode_p2(payload, count)
-        if samples is None:
-            samples = _p2_samples(payload, count, maxval)
+        samples = _p2_samples(_COMMENT.sub(b"", data[header.end(4) :]), count, maxval)
     else:
         if end == b"#":
             raise MammoscopeError("comment between maxval and the P5 raster")

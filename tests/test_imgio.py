@@ -261,19 +261,48 @@ class TestReadPgm:
 
 
 class TestP2Traffic:
+    @staticmethod
+    def int_calls(monkeypatch):
+        """The bytes imgio hands to int() from now on, in call order."""
+        calls = []
+
+        def counting_int(value, *args):
+            if isinstance(value, bytes):
+                calls.append(value)
+            return int(value, *args)
+
+        monkeypatch.setattr(imgio, "int", counting_int, raising=False)
+        return calls
+
     @pytest.mark.parametrize("maxval", [1, 255, 4095, 65535])
     def test_written_p2_decodes_in_the_numpy_pass(self, maxval, monkeypatch):
-        """Every P2 file write_pgm writes is read by _decode_p2; only malformed
-        or zero-padded samples fall to the per-token path."""
+        """Every P2 file write_pgm writes is decoded in numpy: int() reads only
+        the three header fields."""
         pixels = np.random.default_rng(maxval).random((17, 23))
         pixels[0, :2] = 0.0, 1.0
-
-        def per_token(payload, count, maxval):
-            raise AssertionError("a written P2 file fell to the per-token path")
-
-        monkeypatch.setattr(imgio, "_p2_samples", per_token)
-        raw = read_pgm(write_pgm(GrayImage(pixels), maxval))
+        data = write_pgm(GrayImage(pixels), maxval)
+        calls = self.int_calls(monkeypatch)
+        raw = read_pgm(data)
         assert raw.samples.tolist() == np.floor(pixels * maxval + 0.5).ravel().tolist()
+        assert calls == [b"23", b"17", str(maxval).encode()]
+
+    def test_int_reads_only_the_odd_sample_tokens(self, monkeypatch):
+        """In a written 64 x 64 P2 with one zero-padded token too long for the
+        numpy pass and one signed token, int() reads those two samples only."""
+        tokens = write_pgm(GrayImage(np.random.default_rng(7).random((64, 64)))).split()
+        padded = b"0" * 19 + tokens[1000]
+        tokens[1000], tokens[3000] = padded, b"+5"
+        data = b" ".join(tokens)
+        calls = self.int_calls(monkeypatch)
+        with pytest.raises(MammoscopeError, match=r"sample token b'\+5' is not ASCII"):
+            read_pgm(data)
+        assert calls == [b"64", b"64", b"255", padded, b"+5"]
+        # without the signed token the padded one is written in among the numpy runs
+        tokens[3000] = b"5"
+        calls.clear()
+        raw = read_pgm(b" ".join(tokens))
+        assert raw.samples.tolist() == [int(t) for t in tokens[4:]]
+        assert calls == [b"64", b"64", b"255", padded]
 
 
 class TestToGray:
@@ -400,8 +429,9 @@ def read_outcome(read, *args):
 class TestReadPgmProperties:
     @settings(max_examples=400, deadline=None)
     @given(
-        width=st.integers(1, 4),
-        height=st.integers(1, 3),
+        # up to 96 samples, so the odd tokens fall among dozens of runs the numpy pass decodes
+        width=st.integers(1, 16),
+        height=st.integers(1, 6),
         maxval=st.one_of(st.sampled_from([1, 9, 255, 256, 4095, 65535]), st.integers(1, 65535)),
         clean=st.booleans(),
         data=st.data(),
@@ -420,7 +450,8 @@ class TestReadPgmProperties:
                 tokens.insert(data.draw(st.integers(0, len(tokens))), token)
         # junk after the samples is not read
         tokens += data.draw(st.lists(st.one_of(samples, HOSTILE_TOKENS), max_size=3))
-        payload = b"".join(data.draw(SEPARATORS) + token for token in tokens)
+        gaps = data.draw(st.lists(SEPARATORS, min_size=len(tokens), max_size=len(tokens)))
+        payload = b"".join(gap + token for gap, token in zip(gaps, tokens))
         payload += data.draw(st.one_of(st.just(b""), SEPARATORS))
 
         def reference(payload):
