@@ -109,7 +109,8 @@ def _write_output(outputs: dict[str | Path, bytes]) -> None:
     that cannot be written leaves every target as it was. A target that
     exists and is not a regular file (a pipe, ``/dev/stdout``) is written
     in place, after every temporary file. An interrupt, too, leaves no
-    temporary file behind.
+    temporary file behind; one that comes while the files are renamed waits
+    for the last rename.
     """
     staged, in_place = [], []  # (temporary file, target path) and (target path, bytes)
     try:
@@ -123,8 +124,16 @@ def _write_output(outputs: dict[str | Path, bytes]) -> None:
                 f.write(data)
         for path, data in in_place:
             Path(path).write_bytes(data)
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        held = []  # a stop signal between two renames would leave a mixed set: only record it
+        previous = {sig: signal.signal(sig, lambda n, _: held.append(n)) for sig in _STOP_SIGNALS}
+        try:
+            for tmp, path in staged:
+                os.replace(tmp, path)
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
+            if held:  # to the handlers it would have met, even after a failed rename
+                signal.raise_signal(held[0])
     except BaseException as exc:
         for tmp, _ in staged:
             with contextlib.suppress(OSError):  # one already renamed is gone

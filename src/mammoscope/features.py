@@ -126,7 +126,35 @@ def cross_correlation(a, b) -> float:
 
 _STATS = ("mean", "std", "skew", "kurt")
 
-FEATURE_MODES = ("default8", "extended")
+
+def _stats(prefix: str, grid: np.ndarray, twice: slice | None = None, in_place: bool = False):
+    return zip([f"{prefix}_{stat}" for stat in _STATS], moments(grid, twice, in_place))
+
+
+def _detail_stats(decomp, log_half, last):
+    for level, bands in enumerate(decomp.details, start=1):
+        for band in DETAIL_BANDS:
+            yield from _stats(f"w{band.lower()}{level}", bands[band])
+
+
+def _xcorr(decomp, log_half, last):
+    spectral_map = centred(log_half)
+    final = {"LL": decomp.approx, **decomp.details[-1]}
+    return [(f"xcorr_{b.lower()}", cross_correlation(final[b], spectral_map)) for b in final]
+
+
+# The feature blocks in column order: the maps each block reads, and its (name, value) pairs
+# from an image's decomposition, its half-plane log map and whether the block is the map's
+# last reader in the mode, which may then overwrite it.
+_BLOCKS = {
+    "wll": ({"approx"}, lambda decomp, log_half, last: _stats("wll", decomp.approx)),
+    "fft": ({"log"}, lambda decomp, log_half, last: _stats(
+        "fft", log_half, mirrored_columns(len(log_half)), in_place=last)),
+    "details": ({"details"}, _detail_stats),
+    "xcorr": ({"approx", "details", "log"}, _xcorr),
+}
+_MODES = {"default8": ("wll", "fft"), "extended": tuple(_BLOCKS)}
+FEATURE_MODES = tuple(_MODES)
 
 
 @dataclass(frozen=True)
@@ -151,7 +179,7 @@ class FeatureVector:
 
 
 def extract_features(img: GrayImage, cfg: FeatureConfig = FeatureConfig()) -> FeatureVector:
-    """Extract the feature vector of one (preprocessed) image.
+    """Extract the feature vector of one (preprocessed) image: the blocks of its mode, in order.
 
     default8 mode emits, in this fixed order, the four moments of the
     final-level wavelet LL band and the four moments of the log-magnitude
@@ -166,34 +194,17 @@ def extract_features(img: GrayImage, cfg: FeatureConfig = FeatureConfig()) -> Fe
     correlation of each final-level subband against the centred
     log-magnitude map (xcorr_ll, xcorr_hl, xcorr_lh, xcorr_hh).
     """
-    if cfg.mode not in FEATURE_MODES:
+    if cfg.mode not in _MODES:
         raise ValueError(f"unknown feature mode {cfg.mode!r}")
-    extended = cfg.mode == "extended"
-    decomp = dwt2d(img.pixels, get_filter(cfg.filter), cfg.levels, details=extended)
+    reads, blocks = zip(*(_BLOCKS[name] for name in _MODES[cfg.mode]))
+    details = any("details" in maps for maps in reads)
+    decomp = dwt2d(img.pixels, get_filter(cfg.filter), cfg.levels, details=details)
     log_half = half_log_magnitude(img.pixels)
-
-    names: list[str] = []
-    values: list[float] = []
-
-    def add_moments(prefix: str, grid: np.ndarray, twice: slice | None = None,
-                    in_place: bool = False) -> None:
-        names.extend(f"{prefix}_{stat}" for stat in _STATS)
-        values.extend(moments(grid, twice, in_place))
-
-    add_moments("wll", decomp.approx)
-    # only extended reads the log map after its moments, to lay it out for xcorr
-    add_moments("fft", log_half, mirrored_columns(len(log_half)), in_place=not extended)
-    if extended:
-        for level, bands in enumerate(decomp.details, start=1):
-            for band in DETAIL_BANDS:
-                add_moments(f"w{band.lower()}{level}", bands[band])
-        spectral_map = centred(log_half)
-        final = {"LL": decomp.approx, **decomp.details[-1]}
-        for band in ("LL", "HL", "LH", "HH"):
-            names.append(f"xcorr_{band.lower()}")
-            values.append(cross_correlation(final[band], spectral_map))
-
-    return FeatureVector(tuple(names), np.array(values))
+    pairs = []
+    for i, block in enumerate(blocks):
+        pairs += block(decomp, log_half, not any("log" in maps for maps in reads[i + 1 :]))
+    names, values = zip(*pairs)
+    return FeatureVector(names, np.array(values))
 
 
 @dataclass(frozen=True)

@@ -466,6 +466,25 @@ class TestExtractCommand:
              "--out", str(parallel), "--jobs", "2"])
         assert serial.read_text() == parallel.read_text()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_permuted_manifest_permutes_the_rows(self, workdir, jobs):
+        """Each row depends on its own image only: a manifest in another order gives the
+        same rows in that order, serial or pooled."""
+        tmp_path, cfg = workdir
+        out = tmp_path / "images"
+        run(["phantom", "--config", cfg, "--out", str(out)])
+        manifest = (out / "manifest.csv").read_text().splitlines()
+        order = np.random.default_rng(3).permutation(len(manifest) - 1) + 1
+        permuted = [manifest[0], *(manifest[i] for i in order)]
+        (out / "permuted.csv").write_text("\n".join(permuted) + "\n")
+        serial, shuffled = tmp_path / "serial.csv", tmp_path / "permuted.csv"
+        assert run(["extract", "--config", cfg, "--manifest", str(out / "manifest.csv"),
+                    "--out", str(serial)]) == 0
+        assert run(["extract", "--config", cfg, "--manifest", str(out / "permuted.csv"),
+                    "--out", str(shuffled), "--jobs", jobs]) == 0
+        rows = serial.read_text().splitlines()
+        assert shuffled.read_text().splitlines() == [rows[0], *(rows[i] for i in order)]
+
     def test_jobs_flag_matches_serial_on_failure(self, workdir, capsys):
         tmp_path, cfg = workdir
         out = tmp_path / "images"
@@ -1024,6 +1043,63 @@ class TestInterrupt:
         finally:
             _stop(proc, fifo)
 
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_interrupt_between_renames_waits_for_the_last(self, workdir, capsys, monkeypatch, sig):
+        """A stop signal that comes once the first ROC file is renamed into place still
+        leaves both files new, and the run still exits as interrupted."""
+        tmp_path, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+
+        def evaluate(roc_csv, roc_svg):
+            return run(["evaluate", "--config", cfg, "--features", str(feats),
+                        "--roc-csv", str(roc_csv), "--roc-svg", str(roc_svg)])
+
+        fresh = [tmp_path / "fresh.csv", tmp_path / "fresh.svg"]
+        assert evaluate(*fresh) == 0
+        roc = [tmp_path / "roc.csv", tmp_path / "roc.svg"]
+        for path in roc:
+            path.write_text("previous\n")
+        before = sorted(os.listdir(tmp_path))
+        renamed, replace = [], os.replace
+
+        def replace_then_stop(src, dst):
+            replace(src, dst)
+            renamed.append(dst)
+            if len(renamed) == 1:
+                signal.raise_signal(sig)
+
+        monkeypatch.setattr(cli.os, "replace", replace_then_stop)
+        capsys.readouterr()
+        assert evaluate(*roc) == 128 + sig
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert [p.read_bytes() for p in roc] == [p.read_bytes() for p in fresh]
+        assert sorted(os.listdir(tmp_path)) == before  # no temporary file
+
+    def test_interrupt_during_a_failed_rename_is_still_delivered(
+        self, workdir, capsys, monkeypatch
+    ):
+        """A rename that fails after a stop signal came leaves the old files and no temporary
+        file, and the run exits as interrupted, not as a write error."""
+        tmp_path, cfg = workdir
+        feats = tmp_path / "f.csv"
+        feats.write_text(_small_csv())
+        roc = [tmp_path / "roc.csv", tmp_path / "roc.svg"]
+        for path in roc:
+            path.write_text("previous\n")
+        before = sorted(os.listdir(tmp_path))
+
+        def stop_then_fail(src, dst):
+            signal.raise_signal(signal.SIGINT)
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(cli.os, "replace", stop_then_fail)
+        assert run(["evaluate", "--config", cfg, "--features", str(feats),
+                    "--roc-csv", str(roc[0]), "--roc-svg", str(roc[1])]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert [p.read_text() for p in roc] == ["previous\n"] * 2
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_pool_forks_under_a_forkserver_default(self, workdir):
         """Under a forkserver default start method too, a worker's parent is the run, so its
         exit watcher keeps it: ``--jobs 2`` writes what ``--jobs 1`` writes."""
@@ -1088,6 +1164,32 @@ class TestTrainPredict:
             _, score, label = line.rsplit(",", 2)
             assert 0.0 < float(score) < 1.0
             assert label in ("normal", "suspicious")
+
+    @pytest.mark.parametrize("edit", ["permuted", "extra", "permuted-and-extra"])
+    def test_predictions_ignore_column_order_and_extra_columns(self, workdir, edit):
+        """``predict`` reads the model's columns by name, so neither the order of a feature
+        CSV's columns nor columns the model does not name change a byte of its output."""
+        tmp_path, cfg = workdir
+        feats = _pipeline_to_features(workdir)
+        model = tmp_path / "model.nb"
+        assert run(["train", "--config", cfg, "--features", str(feats), "--out", str(model)]) == 0
+        rows = list(csv.reader(io.StringIO(feats.read_text())))
+        columns = list(range(2, len(rows[0])))
+        if "permuted" in edit:
+            columns = np.random.default_rng(4).permutation(columns).tolist()
+        table = [[row[0], row[1], *(row[c] for c in columns)] for row in rows]
+        if "extra" in edit:
+            for i, row in enumerate(table):
+                row[3:3] = ["extra_a", "extra_b"] if i == 0 else [repr(0.25 * i), "-1.5"]
+                row.append("extra_c" if i == 0 else repr(-float(i)))
+        edited = tmp_path / "edited.csv"
+        with open(edited, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(table)
+        outputs = [tmp_path / "pred.csv", tmp_path / "pred-edited.csv"]
+        for features, pred in zip((feats, edited), outputs):
+            assert run(["predict", "--features", str(features), "--model", str(model),
+                        "--out", str(pred)]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_quoted_ids_survive_predict(self, workdir, tmp_path):
         _, cfg = workdir

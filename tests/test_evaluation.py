@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mammoscope import bayes
 from mammoscope.config import PipelineConfig
@@ -212,6 +214,37 @@ class TestRoc:
         for (x0, y0, _), (x1, y1, _) in zip(curve.points, curve.points[1:]):
             area += (x1 - x0) * (y0 + y1) / 2.0
         assert area == curve.auc
+
+
+@st.composite
+def scored_cases(draw):
+    """Scores, many of them tied, with both classes among the labels, and a permutation."""
+    n = draw(st.integers(2, 40))
+    score = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False))
+    scores = draw(st.lists(score, min_size=n, max_size=n))
+    truth = [S, N] + draw(st.lists(st.sampled_from((S, N)), min_size=n - 2, max_size=n - 2))
+    return scores, truth, draw(st.permutations(range(n)))
+
+
+def _sweep(curve):
+    return [(f, t) for f, t, _ in curve.points], curve.auc
+
+
+class TestRocRelations:
+    """The curve depends only on the order of the scores, not on their values or the order
+    of the cases."""
+
+    @given(scored_cases())
+    def test_unchanged_under_a_dense_rank_of_the_scores(self, case):
+        scores, truth, _ = case
+        ranks = np.unique(scores, return_inverse=True)[1].astype(np.float64)
+        assert _sweep(roc(ranks, truth)) == _sweep(roc(scores, truth))
+
+    @given(scored_cases())
+    def test_unchanged_under_a_joint_permutation(self, case):
+        scores, truth, order = case
+        permuted = roc([scores[i] for i in order], [truth[i] for i in order])
+        assert _sweep(permuted) == _sweep(roc(scores, truth))
 
 
 def one_feature_table(labels):
