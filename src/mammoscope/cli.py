@@ -80,11 +80,11 @@ def _exit_with(parent: int) -> None:
     os._exit(1)
 
 
-def _pooled(workers: int, paths: list[str], cfg: PipelineConfig) -> list:
-    """``_extract_one`` for each path in a fresh pool of ``workers``, all waited for.
-
-    An interrupt does not wait: ``main`` stops the workers. So the pool is shut down by
-    hand, not by a ``with`` block, whose exit waits for every task.
+def _pooled(workers: int, paths: list[str], cfg: PipelineConfig) -> list[FeatureVector | str]:
+    """``_extract_one``'s outcome for each path, from a fresh pool of ``workers``. A dead
+    worker breaks every task not yet done, so each of those reruns alone: only an image that
+    kills its own worker dies. An interrupt does not wait: ``main`` stops the workers, so
+    the pool is shut down by hand, not by a ``with`` block, whose exit waits for every task.
     """
     # forked whatever the platform's default start method, so that the workers inherit
     # scipy, this mask and this process as their parent; they fork at the first submit, so
@@ -97,7 +97,13 @@ def _pooled(workers: int, paths: list[str], cfg: PipelineConfig) -> list:
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     pool.shutdown()
-    return futures
+
+    def outcome(path, future):
+        if not isinstance(future.exception(), BrokenProcessPool):
+            return future.result()  # any other error raises, as in serial
+        return "worker process died" if len(paths) == 1 else _pooled(1, [path], cfg)[0]
+
+    return [outcome(path, future) for path, future in zip(paths, futures)]
 
 
 def _write_output(outputs: dict[str | Path, bytes]) -> None:
@@ -153,16 +159,6 @@ def _extract_one(path: str, cfg: PipelineConfig) -> FeatureVector | str:
         return str(exc)
 
 
-def _died(future) -> bool:
-    return isinstance(future.exception(), BrokenProcessPool)
-
-
-def _extract_alone(path: str, cfg: PipelineConfig) -> FeatureVector | str:
-    """``_extract_one`` in a fresh one-worker pool: only an image that kills its worker dies."""
-    (future,) = _pooled(1, [path], cfg)
-    return "worker process died" if _died(future) else future.result()
-
-
 def _rendered(cfg: phantom.PhantomConfig):
     """The phantom set one image at a time; a failed render is a MammoscopeError."""
     try:
@@ -212,12 +208,7 @@ def cmd_extract(args) -> int:
         raise MammoscopeError(f"bad manifest {manifest_path}: header must be path,label")
     paths = [str(manifest_path.parent / rel) for rel in manifest.ids]  # an absolute rel overrides
     if args.jobs > 1:
-        futures = _pooled(min(args.jobs, len(paths)), paths, cfg)
-        # a dead worker breaks every future not yet done, so each of those reruns alone;
-        # other errors raise as in serial
-        outcomes = [
-            _extract_alone(path, cfg) if _died(f) else f.result() for path, f in zip(paths, futures)
-        ]
+        outcomes = _pooled(min(args.jobs, len(paths)), paths, cfg)
     else:
         outcomes = [_extract_one(path, cfg) for path in paths]
     for rel, out in zip(manifest.ids, outcomes):

@@ -64,6 +64,14 @@ def _extract_or_die(path, cfg):
     return _EXTRACT_ONE(path, cfg)
 
 
+def _log_and_die(path, cfg):
+    """Stands in for ``cli._extract_one``: records each run in ``runs.log`` beside the image,
+    then kills its worker."""
+    with open(Path(path).parent / "runs.log", "a") as log:
+        log.write(f"{path}\n")
+    os._exit(3)
+
+
 _EXTRACT_FEATURES = cli.extract_features
 OUT_OF_MEMORY = (
     "Unable to allocate 16.0 GiB for an array with shape (65536, 32769) and data type float64"
@@ -556,6 +564,29 @@ class TestExtractCommand:
         expected = [line for line in lines if not line.startswith(DEAD_IMAGE)]
         assert feats.read_text().splitlines() == expected
         assert len(expected) == 12  # header + the other 11 rows, in manifest order
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched extractor only when forked",
+    )
+    def test_lone_image_that_kills_its_worker_runs_once(self, workdir, capsys, monkeypatch):
+        """A pool that held one image alone already shows that image killed its worker: it is
+        reported dead without a second run."""
+        tmp_path, cfg = workdir
+        (tmp_path / "x.pgm").write_bytes(write_pgm(GrayImage(np.ones((16, 16))), binary=True))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,label\nx.pgm,normal\n")
+        monkeypatch.setattr(cli, "_extract_one", _log_and_die)
+        feats = tmp_path / "f.csv"
+        status = run(["extract", "--config", cfg, "--manifest", str(manifest),
+                      "--out", str(feats), "--jobs", "2"])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "extract failed for x.pgm: worker process died\n"
+            "error: no image could be extracted\n"
+        )
+        assert (tmp_path / "runs.log").read_text().splitlines() == [str(tmp_path / "x.pgm")]
+        assert not feats.exists()
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mammoscope import features
@@ -64,6 +64,14 @@ def two_pass_moments(values):
     return m, sigma, skew, kurt
 
 
+@st.composite
+def unit_maps(draw):
+    """A map of 2 to 24 entries per side, each in [0, 1]."""
+    height, width = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    values = draw(st.lists(st.floats(0, 1), min_size=height * width, max_size=height * width))
+    return np.array(values).reshape(height, width)
+
+
 class TestMoments:
     def test_mean_basic(self):
         assert mean([1.0, 2.0, 3.0, 4.0]) == 2.5
@@ -103,15 +111,28 @@ class TestMoments:
             assert fn(grid) == pytest.approx(fn(grid.T), abs=1e-12)
             assert fn(grid) == pytest.approx(fn(grid.ravel()), abs=1e-12)
 
-    def test_affine_equivariance(self):
-        grid = np.random.default_rng(2).random((8, 8))
-        a, b = -2.5, 0.75
-        assert mean(a * grid + b) == pytest.approx(a * mean(grid) + b, abs=1e-9)
-        assert stddev(a * grid + b) == pytest.approx(abs(a) * stddev(grid), abs=1e-9)
-        assert skewness(a * grid + b) == pytest.approx(
-            math.copysign(1.0, a) * skewness(grid), abs=1e-9
-        )
-        assert kurtosis(a * grid + b) == pytest.approx(kurtosis(grid), abs=1e-9)
+    @settings(deadline=None)
+    @given(
+        grid=unit_maps(),
+        s=st.floats(1 / 16, 16),
+        flip=st.booleans(),
+        b=st.floats(-16, 16),
+    )
+    @example(grid=np.random.default_rng(2).random((8, 8)), s=2.5, flip=True, b=0.75)
+    def test_affine_equivariance(self, grid, s, flip, b):
+        """Under ``a * x + b``, the mean maps alike, the std scales by ``|a|``, the skewness
+        takes the sign of ``a`` and the kurtosis stays."""
+        assume(stddev(grid) >= 0.05)
+        a = -s if flip else s
+        moved = a * grid + b
+
+        def close(expected):
+            return pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+        assert mean(moved) == close(a * mean(grid) + b)
+        assert stddev(moved) == close(abs(a) * stddev(grid))
+        assert skewness(moved) == close(math.copysign(1.0, a) * skewness(grid))
+        assert kurtosis(moved) == close(kurtosis(grid))
 
     def test_empty_map_rejected(self):
         for fn in (mean, stddev, skewness, kurtosis):

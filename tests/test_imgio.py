@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from mammoscope import imgio
 from mammoscope.errors import MammoscopeError
+from mammoscope.features import FEATURE_MODES, FeatureConfig, extract_features
 from mammoscope.imgio import GrayImage, RawImage, read_pgm, to_gray, write_pgm
+from mammoscope.preprocess import PreprocessConfig, preprocess_pipeline
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
@@ -507,17 +509,35 @@ class TestReadPgmProperties:
 
     @settings(deadline=None)
     @given(
-        binary=st.booleans(),
         width=st.integers(1, 6),
         height=st.integers(1, 6),
         maxval=st.integers(1, 65535),
         data=st.data(),
     )
-    def test_write_read_round_trip(self, binary, width, height, maxval, data):
+    def test_write_read_round_trip(self, width, height, maxval, data):
+        """Each spelling reads back the drawn samples, and both give one gray image: P2
+        decodes to int64 and P5 to uint8 or uint16, and that dtype never reaches the image."""
         samples = data.draw(
             st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height)
         )
         raw = RawImage(width, height, maxval, np.array(samples, dtype=np.int64))
-        back = read_pgm(write_pgm(to_gray(raw), maxval=maxval, binary=binary))
-        assert (back.width, back.height, back.maxval) == (width, height, maxval)
-        assert back.samples.tolist() == samples
+        grays = []
+        for binary in (False, True):
+            back = read_pgm(write_pgm(to_gray(raw), maxval=maxval, binary=binary))
+            assert (back.width, back.height, back.maxval) == (width, height, maxval)
+            assert back.samples.tolist() == samples
+            grays.append(to_gray(back).pixels.tobytes())
+        assert grays[0] == grays[1]
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_spellings_give_byte_equal_features(self, maxval):
+        """A 64 x 48 image written as P2 and as P5 gives byte-equal features in every mode,
+        after the preprocessing ``extract`` runs."""
+        pixels = np.random.default_rng(maxval).random((48, 64))
+        images = [to_gray(read_pgm(write_pgm(GrayImage(pixels), maxval=maxval, binary=binary)))
+                  for binary in (False, True)]
+        for mode in FEATURE_MODES:
+            p2, p5 = (extract_features(preprocess_pipeline(img, PreprocessConfig()),
+                                       FeatureConfig(mode=mode)) for img in images)
+            assert p2.names == p5.names
+            assert p2.values.tobytes() == p5.values.tobytes()
