@@ -79,8 +79,9 @@ def _class_probs(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
         raise MammoscopeError(
             f"{X.shape} matrix does not match {len(model.feature_names)} model features"
         )
-    # (n, 2, f): the per-feature sum runs over the contiguous last axis,
-    # the same reduction as for a single row, so scores do not depend on n
+    # (n, 2, f): the per-feature sum runs over the contiguous last axis, the same reduction
+    # as for a single row, so scores depend neither on n nor on X's memory layout
+    X = np.ascontiguousarray(X)
     terms = -0.5 * (
         (X[:, None, :] - model.means) ** 2 / model.variances
         + np.log(2.0 * np.pi * model.variances)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import multiprocessing
 import os
 import secrets
@@ -159,32 +158,22 @@ def _extract_one(path: str, cfg: PipelineConfig) -> FeatureVector | str:
         return str(exc)
 
 
-def _rendered(cfg: phantom.PhantomConfig):
-    """The phantom set one image at a time; a failed render is a MammoscopeError."""
-    try:
-        yield from phantom.render_set(cfg)
-    except (MemoryError, OverflowError, ValueError) as exc:
-        raise MammoscopeError(f"cannot render phantom set: {exc}") from None
-
-
 def cmd_phantom(args) -> int:
     cfg = load_config(args.config)
-    images = _rendered(cfg.phantom)
-    first = next(images)  # before --out exists, so a size too large to render leaves nothing behind
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise MammoscopeError(f"cannot write phantom set: {exc}") from None
     manifest = "path,label\n"
-    for index, (name, label, img) in enumerate(itertools.chain([first], images)):
-        _write_output({out_dir / name: write_pgm(img, maxval=255, binary=True)})  # as it renders
-        if index == 0:  # from here on, an old manifest would list a mix of two sets
-            try:
+    try:
+        for index, (name, label, img) in enumerate(phantom.render_set(cfg.phantom)):
+            if index == 0:  # after a render, so a size too large to render leaves nothing behind
+                out_dir.mkdir(parents=True, exist_ok=True)
+            _write_output({out_dir / name: write_pgm(img, maxval=255, binary=True)})  # as rendered
+            if index == 0:  # from here on, an old manifest would list a mix of two sets
                 (out_dir / "manifest.csv").unlink(missing_ok=True)
-            except OSError as exc:
-                raise MammoscopeError(f"cannot write phantom set: {exc}") from None
-        manifest += f"{name},{label}\n"
+            manifest += f"{name},{label}\n"
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise MammoscopeError(f"cannot render phantom set: {exc}") from None
+    except OSError as exc:  # _write_output reports its own; this is mkdir's or unlink's
+        raise MammoscopeError(f"cannot write phantom set: {exc}") from None
     _write_output({out_dir / "manifest.csv": manifest.encode("ascii")})  # last: lists whole files
     print(f"wrote {2 * cfg.phantom.count_per_class} images and manifest to {out_dir}")
     return 0

@@ -263,6 +263,32 @@ class TestBatchScores:
                 assert classify(model, vec)[1] == s
                 assert posterior(model, vec)["suspicious"] == s
 
+    @settings(deadline=None)
+    @given(
+        n_features=st.integers(1, 48), n_rows=st.integers(2, 40), seed=st.integers(0, 2**32 - 1)
+    )
+    def test_scores_ignore_memory_layout(self, n_features, n_rows, seed):
+        """An F-ordered matrix, as ``FeatureTable.select_columns`` returns, scores as its
+        C-ordered copy and as each of its rows alone, bit for bit."""
+        rng = np.random.default_rng(seed)
+        prior = rng.uniform(0.25, 0.75)
+        means = rng.uniform(-1.0, 1.0, n_features)
+        variances = rng.uniform(0.5, 2.0, n_features)
+        # classes this close keep every score off the 1e-15 floor, which would hide rounding
+        model = GaussianNbModel(
+            ("normal", "suspicious"),
+            np.array([prior, 1.0 - prior]),
+            tuple(f"f{i}" for i in range(n_features)),
+            np.stack([means, means + rng.uniform(-0.05, 0.05, n_features)]),
+            np.stack([variances, variances * rng.uniform(0.95, 1.05, n_features)]),
+        )
+        X = rng.uniform(-1.0, 1.0, (n_rows, n_features))
+        got = scores(model, X)
+        assert ((got > 1e-12) & (got < 1.0 - 1e-12)).all()
+        assert np.array_equal(scores(model, np.asfortranarray(X)), got)
+        for x, s in zip(X, got):
+            assert posterior(model, FeatureVector(model.feature_names, x))["suspicious"] == s
+
     def test_both_floors_are_exercised(self):
         model = GaussianNbModel(
             ("normal", "suspicious"),

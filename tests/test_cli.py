@@ -310,6 +310,29 @@ class TestPhantomCommand:
             f"phantom_{index:04d}_normal.pgm" for index in range(3)
         ]
 
+    def test_unencodable_image_is_exit_2_and_writes_no_manifest(
+        self, workdir, capsys, monkeypatch
+    ):
+        """An encoder out of memory is a render failure, not a traceback; the image written
+        before it stays whole."""
+        tmp_path, cfg = workdir
+        encoded = []
+
+        def fail_at_1(img, **kwargs):
+            if len(encoded) == 1:
+                raise MemoryError("simulated allocation failure")
+            encoded.append(write_pgm(img, **kwargs))
+            return encoded[-1]
+
+        monkeypatch.setattr(cli, "write_pgm", fail_at_1)
+        out = tmp_path / "images"
+        assert run(["phantom", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot render phantom set: simulated allocation failure\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["phantom_0000_normal.pgm"]
+        assert (out / "phantom_0000_normal.pgm").read_bytes() == encoded[0]
+
     def test_failed_rerun_leaves_no_manifest_of_two_sets(self, workdir, capsys, monkeypatch):
         """Images 0-2 of seed 78 replace those of seed 77; no manifest lists that mix."""
         tmp_path, _ = workdir
@@ -1195,6 +1218,29 @@ class TestTrainPredict:
             _, score, label = line.rsplit(",", 2)
             assert 0.0 < float(score) < 1.0
             assert label in ("normal", "suspicious")
+
+    def test_predict_scores_equal_per_row_posterior(self, tmp_path):
+        """``predict`` scores the F-ordered matrix ``select_columns`` returns; on the golden
+        ``default8`` run at 96² (8 features), each row's score is its posterior, bit for bit."""
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(
+            "phantom.count_per_class = 10\nphantom.seed = 1337\nphantom.mass_amplitude = 0.05\n"
+            "phantom.microcalc_amplitude = 0.1\nphantom.size = 96\nphantom.mass_radius = 12\n"
+            "features.mode = default8\n"
+        )
+        feats = _pipeline_to_features((tmp_path, str(cfg)))
+        model, pred = tmp_path / "model.nb", tmp_path / "pred.csv"
+        assert run(["train", "--config", str(cfg), "--features", str(feats),
+                    "--out", str(model)]) == 0
+        assert run(["predict", "--config", str(cfg), "--features", str(feats),
+                    "--model", str(model), "--out", str(pred)]) == 0
+        table = table_from_csv(read_text(feats, "features"))
+        fitted = bayes.load_model(model.read_bytes())
+        assert fitted.feature_names == table.names and len(table.names) == 8
+        expected = [bayes.posterior(fitted, FeatureVector(table.names, row))["suspicious"]
+                    for row in table.values]
+        rows = list(csv.reader(io.StringIO(pred.read_text())))[1:]
+        assert [float(score) for _, score, _ in rows] == expected
 
     @pytest.mark.parametrize("edit", ["permuted", "extra", "permuted-and-extra"])
     def test_predictions_ignore_column_order_and_extra_columns(self, workdir, edit):

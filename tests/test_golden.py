@@ -41,7 +41,7 @@ DIGESTS = {
         "phantom set": "696c2cd88aaced1d6ec2cf5d734d82d5919cfd538fb096ec5a73a26a588a4596",
         "features.csv": "209b639c848238e3a7459ce0a1ca09c752b6900d8a199d7b12a1f646dfe58905",
         "model.nb": "601da06f60f7224ff02b2d0682aa3649ef370fde3fbdf4459cf924d6d36bcd20",
-        "predictions.csv": "883f685e61c660d8138ef994574988e87bd43be97a5d995f9d9cc77e088fe947",
+        "predictions.csv": "a22af1f781b8d6fda7e81f33df029a913d571c627c3be3b7a4a10217980cfedb",
         "roc.csv": "6cb5f2f555be95110a57eb6a98a8e6835babdf551fd46b3c739d3e7db0b85c3c",
         "roc.svg": "e04dcc70cd65c9a4afd7963a4b1af856c082fe5a34de7caf4012c1d2827a4966",
         "stdout": "ca4cb3ed564a6d54f020796fe1d064c9f9e552e71d4e77e4c8353f744cc6a841",
@@ -59,7 +59,7 @@ DIGESTS = {
         "phantom set": "b0df0965bc9ae9662707cebd4331714b2d8fa95753e86d6dc0d958faca1f2531",
         "features.csv": "2e594fae9d26b862ab7e6a7a258e5b837e26914d30ddb97d7733864a0d7a3ee1",
         "model.nb": "f78554e337e90d399ee04fbc292191461ed88b3cf8eb3831c375e94223aa0ccc",
-        "predictions.csv": "496296cc14a9ef57a6201f6e215adaf74da7761c0654a983fb6b78359d47c840",
+        "predictions.csv": "7d776c460b3e3495cc683e84ab5ba21330c4684283b9bc2bae6364317aa8988f",
         "roc.csv": "a36fabb75ac7972f10e5fce3a5d6a1b89b5ce868b0293e011a1b5b090f23f449",
         "roc.svg": "3b6943417ff37047bb96dd308e0c4460b736f002d0172c7b3a5e8c56714847f3",
         "stdout": "f9d8c7698bbf9184b78c5106a5a1a3d1712bc1b42e5c34ca9bcb6fb9a75f83e0",
