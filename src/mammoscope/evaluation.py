@@ -140,8 +140,8 @@ def out_of_fold(table: FeatureTable, cfg: PipelineConfig) -> np.ndarray:
     pooled = np.empty(table.n_rows)
     for train_rows, test_rows in kfold_indices(table, cfg.cv_folds, cfg.cv_seed):
         model = fit(table.subset(train_rows), cfg)
-        columns = [table.names.index(n) for n in model.feature_names]
-        pooled[test_rows] = bayes.scores(model, table.values[np.ix_(test_rows, columns)])
+        test = table.subset(test_rows).select_columns(model.feature_names)
+        pooled[test_rows] = bayes.scores(model, test.values)
     return pooled
 
 

@@ -120,8 +120,7 @@ def cross_correlation(a, b) -> float:
     sy = np.sqrt(np.mean(yc**2))
     if sx <= DEGENERATE_STD or sy <= DEGENERATE_STD:
         return 0.0
-    r = float(np.mean(xc * yc) / (sx * sy))
-    return min(1.0, max(-1.0, r))
+    return float(np.clip(np.mean(xc * yc) / (sx * sy), -1.0, 1.0))
 
 
 _STATS = ("mean", "std", "skew", "kurt")
@@ -404,7 +403,7 @@ def select_features(table: FeatureTable, k: int) -> list[str]:
     """Rank features by Fisher discriminant ratio and return the top k.
 
     Score per feature: (mu_pos - mu_neg)^2 / (var_pos + var_neg + 1e-12)
-    with population variances; ties break by header order.
+    with population variances; ties break by header order and a NaN score ranks last.
     """
     n_features = len(table.names)
     if not 1 <= k <= n_features:
@@ -416,5 +415,4 @@ def select_features(table: FeatureTable, k: int) -> list[str]:
     score = (pos.mean(axis=0) - neg.mean(axis=0)) ** 2 / (
         pos.var(axis=0) + neg.var(axis=0) + 1e-12
     )
-    order = sorted(range(n_features), key=lambda i: (-score[i], i))
-    return [table.names[i] for i in order[:k]]
+    return [table.names[i] for i in np.argsort(-score, kind="stable")[:k]]

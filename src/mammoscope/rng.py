@@ -78,8 +78,6 @@ class Rng:
         (r*cos(2*pi*u2), r*sin(2*pi*u2)) with r = sqrt(-2*ln(u1));
         an odd n discards the trailing sine twin.
         """
-        if n <= 0:
-            return np.empty(0)
         pairs = (n + 1) // 2
         raw = self._raw_block(2 * pairs)
         hi = (raw >> np.uint64(11)).astype(np.float64)

@@ -793,6 +793,21 @@ def _unloadable_csv(case):
     return _small_csv(header)
 
 
+def _overflow_csv(tmp_path):
+    """A 40-row table of noise ``a``, ``huge`` at ±1e200, whose overflowing class variances
+    give it a NaN Fisher score, and ``good``, which separates the classes; and a config
+    that keeps one column."""
+    feats, cfg = tmp_path / "overflow.csv", tmp_path / "select1.cfg"
+    rows = ["id,label,a,huge,good\n"]
+    for i in range(40):
+        s = i % 2
+        huge = (-1e200, 1e200)[s] * (1 + i * 13 % 17 / 170)
+        rows.append(f"r{i},{LABELS[s]},{i * 7 % 11 / 11!r},{huge!r},{s + i * 3 % 10 / 100!r}\n")
+    feats.write_text("".join(rows))
+    cfg.write_text("select.k = 1\n")
+    return feats, str(cfg)
+
+
 def _command(command, cfg, features, tmp_path, out_dir=None):
     """argv for one table-reading command, and the output files it may write."""
     out_dir = out_dir or tmp_path
@@ -1359,6 +1374,14 @@ class TestTrainPredict:
         gauss_lines = [l for l in model.read_text().splitlines() if l.startswith("gauss")]
         assert len(gauss_lines) == 2 * 3  # two classes, three selected features
 
+    def test_nan_ranked_column_is_not_selected(self, tmp_path):
+        feats, cfg = _overflow_csv(tmp_path)
+        model = tmp_path / "model.txt"
+        assert run(["train", "--config", cfg, "--features", str(feats), "--out", str(model)]) == 0
+        gauss = [line.split()[:3] for line in model.read_text().splitlines()
+                 if line.startswith("gauss")]
+        assert gauss == [["gauss", "normal", "good"], ["gauss", "suspicious", "good"]]
+
     def test_train_single_class_is_exit_2(self, workdir, tmp_path):
         _, cfg = workdir
         feats = _pipeline_to_features(workdir)
@@ -1534,6 +1557,12 @@ class TestEvaluateCommand:
         run(["evaluate", "--config", cfg, "--features", str(feats)])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_nan_ranked_column_keeps_specificity(self, tmp_path, capsys):
+        feats, cfg = _overflow_csv(tmp_path)
+        assert run(["evaluate", "--config", cfg, "--features", str(feats)]) == 0
+        report = dict(line.split(" : ") for line in capsys.readouterr().out.splitlines())
+        assert float(report["specificity"]) >= 0.9
 
     def test_single_class_is_exit_2(self, workdir, tmp_path):
         _, cfg = workdir

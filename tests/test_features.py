@@ -275,6 +275,16 @@ class TestCrossCorrelation:
         assert cross_correlation(at_samples, on_grid) == pytest.approx(1.0, abs=1e-12)
         assert cross_correlation(-at_samples, on_grid) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_overflowing_map_scores_nan_not_minus_one(self):
+        """At ±1e200 the squares overflow and r is inf / inf: it stays NaN, which a
+        ``FeatureVector`` rejects, instead of clamping to -1."""
+        grid = np.array([[1e200, -1e200], [-1e200, 1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = cross_correlation(grid, grid)
+        assert math.isnan(r)
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureVector(("xcorr_hh",), np.array([r]))
+
     def test_sampling_grid_is_corner_aligned(self):
         """Corner pixels meet corner pixels: 17 samples of 65 are every fourth pixel.
 
@@ -983,6 +993,54 @@ class TestCsvParse:
         assert csv.field_size_limit() == limit
 
 
+def comparator_ranking(table, k):
+    """Reference: the top k of a Python sort on (-score, column index)."""
+    pos = table.values[table.suspicious]
+    neg = table.values[~table.suspicious]
+    score = (pos.mean(axis=0) - neg.mean(axis=0)) ** 2 / (
+        pos.var(axis=0) + neg.var(axis=0) + 1e-12
+    )
+    order = sorted(range(len(table.names)), key=lambda i: (-score[i], i))
+    return [table.names[i] for i in order[:k]]
+
+
+@st.composite
+def finite_rank_tables(draw):
+    """Tables whose every Fisher score is finite; columns of small integers tie often,
+    and past 16 columns numpy's default sort would no longer keep tied columns in order."""
+    n_features = draw(st.integers(1, 24))
+    labels = draw(st.permutations(
+        ["normal"] * draw(st.integers(2, 5)) + ["suspicious"] * draw(st.integers(2, 5))
+    ))
+    columns = [
+        draw(st.lists(
+            st.sampled_from([0.0, 1.0, 2.0]) if draw(st.booleans()) else st.floats(-1e6, 1e6),
+            min_size=len(labels), max_size=len(labels),
+        ))
+        for _ in range(n_features)
+    ]
+    return FeatureTable(tuple(f"f{j}" for j in range(n_features)),
+                        tuple(f"r{i}" for i in range(len(labels))), tuple(labels),
+                        np.array(columns).T)
+
+
+def overflow_table():
+    """40 rows: ``a`` is noise, ``good`` separates the classes, and ``huge`` sits at
+    ±1e200, so its class variances overflow and its Fisher score is inf / inf = NaN."""
+    i = np.arange(40)
+    suspicious = i % 2 == 1
+    return FeatureTable(
+        ("a", "huge", "good"),
+        tuple(f"r{n}" for n in i),
+        tuple(np.where(suspicious, "suspicious", "normal").tolist()),
+        np.column_stack([
+            i * 7 % 11 / 11,
+            np.where(suspicious, 1e200, -1e200) * (1 + i * 13 % 17 / 170),
+            suspicious + i * 3 % 10 / 100,
+        ]),
+    )
+
+
 class TestSelectFeatures:
     def test_hand_computed_ranking(self):
         table = small_table()
@@ -1007,6 +1065,19 @@ class TestSelectFeatures:
         table = FeatureTable(("noise", "sep"), tuple(f"r{i}" for i in range(10)),
                              ("normal",) * 5 + ("suspicious",) * 5, np.array(rows))
         assert select_features(table, 1) == ["sep"]
+
+    def test_nan_score_ranks_last(self):
+        table = overflow_table()
+        with np.errstate(all="ignore"):  # as under the CLI
+            assert select_features(table, 1) == ["good"]
+            assert select_features(table, 3) == ["good", "a", "huge"]
+
+    @given(finite_rank_tables())
+    @settings(deadline=None)
+    def test_finite_scores_rank_as_the_comparator_sort(self, table):
+        """Descending score, ties by header order, for every k."""
+        for k in range(1, len(table.names) + 1):
+            assert select_features(table, k) == comparator_ranking(table, k)
 
     def test_duplicating_all_rows_keeps_ranking(self):
         table = small_table()

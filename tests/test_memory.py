@@ -3,7 +3,7 @@
 The feature-table reader walks its text line by line instead of wrapping
 it in ``io.StringIO``, which stores a copy at 4 bytes per character.
 ``extract_features`` never holds a padded image's complex half plane whole,
-and ``default8`` centres the log-magnitude map in place for its moments.
+and ``default8`` subtracts the log-magnitude map's mean in place for its moments.
 Peaks are measured with ``tracemalloc``, which sees every numpy buffer, and
 given in units of the input they scale with.
 """
@@ -61,8 +61,9 @@ class TestExtractPeak:
     @pytest.mark.parametrize("mode, bound", [("default8", 2.75), ("extended", 5.0)])
     def test_peak_in_half_plane_maps(self, mode, bound, shape):
         """The column pass holds the row pass's output, the log half plane and one block.
-        default8 then centres that map in place, so its moments add one buffer; extended
-        centres a copy and adds the centred N x N map, written once."""
+        default8 then subtracts that map's mean in place, so its moments add one buffer;
+        extended subtracts it from a copy and adds the centred (fft-shifted) N x N map,
+        written once."""
         img = GrayImage(np.random.default_rng(shape[0]).random(shape))
         peak = traced_peak(extract_features, img, FeatureConfig(mode=mode))
         assert peak / HALF_MAP < bound

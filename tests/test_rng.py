@@ -61,6 +61,14 @@ def test_normals_moments():
     assert abs(np.mean(draws**4) - 3.0) < 0.1  # Gaussian tails
 
 
+def test_zero_normals_are_empty_and_draw_nothing():
+    rng = Rng(3)
+    none = rng.normals(0)
+    assert none.dtype == np.float64 and none.shape == (0,)
+    assert rng.state == Rng(3).state
+    assert np.array_equal(rng.normals(5), Rng(3).normals(5))
+
+
 def test_normals_concatenation_is_stream_stable():
     # even-sized requests keep Box-Muller pairs aligned with one big request
     rng = Rng(99)

@@ -34,6 +34,11 @@ package's import time, so the package imports it inside the functions
 that use it, never at module or class level: ``import mammoscope`` and
 the table commands stay without it.
 
+A model's columns are fetched one way, through ``FeatureTable.select_columns``: only
+``features.py`` may call ``.names.index``.
+
+The README's "Library use" block runs as written.
+
 ``io.StringIO(text)`` stores its own copy of ``text`` at 4 bytes per
 character, so the package never wraps an input's text that way: only an
 empty writer buffer, ``io.StringIO()``, is allowed.
@@ -41,12 +46,15 @@ empty writer buffer, ``io.StringIO()``, is allowed.
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mammoscope.errors import MammoscopeError
+from mammoscope.imgio import write_pgm
+from mammoscope.phantom import PhantomConfig, render_image
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "mammoscope"
@@ -380,6 +388,65 @@ class TestOneFitPath:
         ).replace("from .features import (\n", "from .features import (\n    select_features,\n")
         assert _fit_step_uses(package) == ["cli.cmd_train: bayes.train",
                                            "cli.cmd_train: features.select_features"]
+
+
+def _name_lookups(source: str) -> int:
+    """How often ``source`` calls ``index`` on a ``names`` attribute, as in
+    ``table.names.index(n)``."""
+    return sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "index" and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "names"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def _name_lookup_modules(package: dict[str, str]) -> list[str]:
+    return [name for name, source in package.items() if _name_lookups(source)]
+
+
+class TestOneColumnLookup:
+    @pytest.mark.parametrize("source, lookups", [
+        ("cols = [table.names.index(n) for n in wanted]\n", 1),
+        ("self.names.index(n)\nt.model.names.index(m)\n", 2),
+        ("names.index(n)\nLABELS.index(SUSPICIOUS)\n", 0),
+        ("table.names\nindex(n)\ntable.names.count(n)\n", 0),
+        ("lookup = table.names.index\n", 0),
+    ])
+    def test_detector(self, source, lookups):
+        assert _name_lookups(source) == lookups
+
+    def test_only_select_columns_looks_up_names(self):
+        """``FeatureTable.select_columns`` is how ``predict`` and every CV fold get their
+        columns."""
+        assert _name_lookup_modules(_package()) == ["features"]
+
+    def test_an_index_lookup_back_in_out_of_fold_is_caught(self):
+        """``out_of_fold`` as it was before it called ``select_columns`` is flagged."""
+        package = _package()
+        package["evaluation"] = package["evaluation"].replace(
+            "        test = table.subset(test_rows).select_columns(model.feature_names)\n"
+            "        pooled[test_rows] = bayes.scores(model, test.values)\n",
+            "        columns = [table.names.index(n) for n in model.feature_names]\n"
+            "        pooled[test_rows] = bayes.scores(\n"
+            "            model, table.values[np.ix_(test_rows, columns)])\n",
+        )
+        assert _name_lookup_modules(package) == ["evaluation", "features"]
+
+
+def readme_python_block() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+
+
+class TestReadmeExample:
+    def test_library_use_runs(self, tmp_path, monkeypatch, capsys):
+        """The block reads ``scan.pgm`` from the working directory and prints the features."""
+        cfg = PhantomConfig(size=64, count_per_class=1, seed=11, mass_radius=10.0)
+        (tmp_path / "scan.pgm").write_bytes(write_pgm(render_image(cfg, 1)))
+        monkeypatch.chdir(tmp_path)
+        exec(readme_python_block(), {})
+        assert "xcorr_hh" in capsys.readouterr().out
 
 
 class TestOneErrorType:
